@@ -125,7 +125,7 @@ def evaluate(
     """
     if budget is None:
         budget = security_budget()
-    if exp.L_A != exp.L_B:
+    if not src.is_symmetric():
         residual = src.constraint_residual()
         if abs(residual) > 1e-9:
             raise ValueError(

@@ -7,6 +7,13 @@ convex relative-entropy residual, which we bracket in log space and bisect.
 Bisection on a fixed log-width bracket is unconditionally convergent for
 counts from ~1e-300 to ~1e15 and failure probabilities down to ~1e-300,
 which is the whole operating range of the key-rate pipeline.
+
+The binomial-tail inversions use closed forms where one exists.  Since
+Pr(X >= m) = I_p(m, n-m+1), the success probability at a given tail level
+is one inverse regularized incomplete beta call.  The threshold at a given
+level is an integer bisection that starts from a bracket: the median below
+and a Chernoff bound above, so only a few tails are evaluated, and
+small-trial tails sum only the terms that carry mass.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 __all__ = [
     "TailQuery",
@@ -32,6 +39,7 @@ __all__ = [
 _LOG_SPAN = 690.0  # widest log-ratio ever searched; exp() stays finite below it
 _BISECT_STEPS = 80  # 690 / 2**80 is far below double precision
 _SUMMATION_LIMIT = 10_000  # below this trial count, sum the tail in log space
+_LOG_TERM_CUTOFF = 50.0  # past the mode, a term this far below the peak ends the sum
 
 
 @dataclass(frozen=True)
@@ -155,18 +163,31 @@ def chernoff_observed_bounds(expected: float, failure_prob: float) -> ChernoffRe
 
 
 def _tail_by_summation(trials: int, p: float, threshold: int) -> float:
+    """Upper tail summed in log space from the threshold upward.
+
+    The terms rise up to the mode floor((n+1)p) and only shrink past it, so
+    the sum stops at the first term more than _LOG_TERM_CUTOFF below the
+    largest one; the dropped mass is below 1e-21 of the sum for every
+    n <= _SUMMATION_LIMIT.
+    """
     log_p = math.log(p)
     log_q = math.log1p(-p)
     log_norm = math.lgamma(trials + 1)
-    logs = [
-        log_norm
-        - math.lgamma(k + 1)
-        - math.lgamma(trials - k + 1)
-        + k * log_p
-        + (trials - k) * log_q
-        for k in range(threshold, trials + 1)
-    ]
-    top = max(logs)
+    top = -math.inf
+    logs = []
+    for k in range(threshold, trials + 1):
+        v = (
+            log_norm
+            - math.lgamma(k + 1)
+            - math.lgamma(trials - k + 1)
+            + k * log_p
+            + (trials - k) * log_q
+        )
+        if v > top:
+            top = v
+        elif v < top - _LOG_TERM_CUTOFF:
+            break
+        logs.append(v)
     return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
 
 
@@ -175,7 +196,9 @@ def binomial_tail(query: TailQuery) -> float:
 
     Uses log-space summation for small trial counts and the regularized
     incomplete beta function above that, so tails at the 1e-13 scale keep
-    full relative accuracy.
+    full relative accuracy.  The summation stops once the terms past the
+    mode fall out of double precision, so its cost follows the spread of
+    the distribution rather than the trial count.
     """
     n, p, m = query.trials, query.success_prob, query.threshold
     if m <= 0:
@@ -194,9 +217,9 @@ def binomial_tail(query: TailQuery) -> float:
 def invert_tail_for_p(trials: int, threshold: int, target: float) -> float:
     """Success probability p with Pr(X >= threshold) = target.
 
-    The upper tail is strictly increasing in p for 1 <= threshold <= trials,
-    so the root is unique; bisection runs on ln(p) to keep relative accuracy
-    uniform for very small roots.
+    The upper tail is the regularized incomplete beta function
+    I_p(threshold, trials - threshold + 1), strictly increasing in p for
+    1 <= threshold <= trials, so the unique root is its inverse in p.
     """
     if not (0.0 < target < 1.0):
         raise ValueError(f"target tail probability must lie in (0, 1), got {target!r}")
@@ -205,16 +228,19 @@ def invert_tail_for_p(trials: int, threshold: int, target: float) -> float:
             "threshold must lie in [1, trials]: below 1 the tail is pinned at 1 "
             f"for every p (got threshold={threshold}, trials={trials})"
         )
-
-    def tail_at(log_p: float) -> float:
-        return binomial_tail(TailQuery(trials, math.exp(log_p), threshold))
-
-    s = _bisect_log(tail_at, -_LOG_SPAN, 0.0, target, increasing=True)
-    return math.exp(s)
+    return float(betaincinv(threshold, trials - threshold + 1, target))
 
 
 def invert_tail_for_m(trials: int, success_prob: float, target: float) -> int:
-    """Smallest threshold m with Pr(X >= m) <= target."""
+    """Smallest threshold m with Pr(X >= m) <= target.
+
+    Integer bisection on the tail.  For target < 1/2 it starts from a
+    bracket around the answer: a binomial median is at least floor(n*p), so
+    the tail there is at least 1/2, and the multiplicative Chernoff bound at
+    level target puts the tail at or below target past its upper end.  One
+    count of slack on each side absorbs the rounding of n*p and of the
+    Chernoff root.  Larger targets search all of [0, n + 1].
+    """
     if not (0.0 < target < 1.0):
         raise ValueError(f"target tail probability must lie in (0, 1), got {target!r}")
     if trials < 1:
@@ -222,6 +248,11 @@ def invert_tail_for_m(trials: int, success_prob: float, target: float) -> int:
     if not (0.0 <= success_prob <= 1.0):
         raise ValueError(f"success_prob must lie in [0, 1], got {success_prob}")
     lo, hi = 0, trials + 1  # tail(lo) = 1 > target, tail(hi) = 0 <= target
+    if target < 0.5:
+        mean = trials * success_prob
+        lo = max(math.floor(mean) - 1, 0)
+        upper = chernoff_observed_bounds(mean, 2.0 * target).upper
+        hi = min(math.ceil(upper) + 1, trials + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if binomial_tail(TailQuery(trials, success_prob, mid)) <= target:

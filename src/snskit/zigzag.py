@@ -12,8 +12,13 @@ error-count bound M_bar_s through a second tail at level xi_tau_tilde.
 
 Two modes cover the last two steps: "approx" uses the closed-form Gaussian
 quantiles (2.33 at 1e-2, 6.36 at 1e-10) and is the default; "exact"
-inverts the binomial tails numerically, which is a little tighter and
-serves as cross-validation.
+inverts the binomial tails, which is a little tighter and serves as
+cross-validation.  Exact mode finds e_tau with one inverse regularized
+incomplete beta call and M_bar_s with a bracketed integer bisection, so it
+costs about as much as approx mode.  The Gaussian constants hold only at
+the default tail levels, so approx mode rejects any other xi_tau or
+xi_tau_tilde; exact mode takes any level, and a level of 1 (the
+fluctuation-free switch) uses the expectation in place of the tail.
 """
 
 from __future__ import annotations
@@ -39,9 +44,11 @@ __all__ = [
 ]
 
 # One-sided Gaussian quantiles at xi_tau = 1e-2 and xi_tau_tilde = 1e-10;
-# constants of the closed-form mode, not recomputed from the budget.
+# constants of the closed-form mode, valid only at those two levels.
 _Q_TAU = 2.33
 _Q_TAU_TILDE = 6.36
+_APPROX_XI_TAU = 1e-2
+_APPROX_XI_TAU_TILDE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,19 @@ def _phi_upper(expected: float, xi: float) -> float:
     if xi >= 1.0:
         return expected
     return chernoff_observed_bounds(expected, xi).upper
+
+
+def _check_mode(mode: str, budget: SecurityBudget) -> None:
+    if mode not in ("approx", "exact"):
+        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    if mode == "approx" and (
+        budget.xi_tau != _APPROX_XI_TAU or budget.xi_tau_tilde != _APPROX_XI_TAU_TILDE
+    ):
+        raise ValueError(
+            "approx mode's Gaussian quantiles hold only at xi_tau = 1e-2 and "
+            f"xi_tau_tilde = 1e-10 (got {budget.xi_tau!r} and {budget.xi_tau_tilde!r}); "
+            'use mode="exact" for other tail levels'
+        )
 
 
 def u_factor(n_g: float, n_odd: float) -> float:
@@ -153,9 +173,10 @@ def compute_M_bar_s(
 
     Returns (M_bar_s, e_tau, E_tau, flags).  e_tau above one half leaves the
     squaring step without force, so the bound is flagged vacuous there.
+    In exact mode a tail level xi >= 1 replaces its inversion by the
+    expectation, like every other fluctuation-free use.
     """
-    if mode not in ("approx", "exact"):
-        raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
+    _check_mode(mode, budget)
     if r >= n:
         raise ValueError("remainder r must stay below the pair count n")
     if M_bar < 1:
@@ -175,12 +196,18 @@ def compute_M_bar_s(
     trials_pre = math.floor(2.0 * n - r)
     if M_bar > trials_pre:
         return float(2 * n), 1.0, 0.0, ("vacuous-e-tau",)
-    e_tau = invert_tail_for_p(trials_pre, M_bar, budget.xi_tau)
+    if budget.xi_tau >= 1.0:
+        e_tau = M_bar / trials_pre
+    else:
+        e_tau = invert_tail_for_p(trials_pre, M_bar, budget.xi_tau)
     if e_tau > 0.5:
         return float(2 * n), e_tau, e_tau * (1.0 - e_tau), ("vacuous-e-tau",)
     big_e = e_tau * (1.0 - e_tau)
     trials_post = math.ceil(n - r)
-    m_shift = invert_tail_for_m(trials_post, big_e, budget.xi_tau_tilde)
+    if budget.xi_tau_tilde >= 1.0:
+        m_shift = trials_post * big_e
+    else:
+        m_shift = invert_tail_for_m(trials_post, big_e, budget.xi_tau_tilde)
     return m_shift + r, e_tau, big_e, ()
 
 
@@ -230,6 +257,7 @@ def run_zigzag(
             flags=flags,
         )
 
+    _check_mode(mode, budget)
     if obs.n_odd <= 0 or obs.n_g <= 0:
         return _dead(("no-pairs",))
     if bounds.n1_L <= 0 or obs.n_t <= 0:

@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from snskit import ExperimentalParams, SourceParams, security_budget, simulate
+
+
+def pytest_configure(config):
+    # pyproject's pythonpath covers this process; the CLI tests start child
+    # interpreters (python -m snskit), which find the package the same way.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 
 
 def table1_exp(L_total: float, N: float = 1e12, **overrides) -> ExperimentalParams:

@@ -208,6 +208,32 @@ def test_evaluate_rejects_violated_constraint():
         evaluate(exp, src)
 
 
+def test_evaluate_rejects_asymmetric_source_on_equal_arms():
+    # The constraint belongs to the source, not to the arm lengths.
+    src = replace(SourceParams.symmetric(**GOLDEN_SRC), mu1_b=0.03)
+    assert src.constraint_residual() == pytest.approx(0.533, abs=1e-3)
+    with pytest.raises(ValueError, match="decoy constraint"):
+        evaluate(table1_exp(300.0), src)
+
+
+def test_evaluate_symmetric_source_on_unequal_arms(golden_src):
+    # A symmetric source meets the constraint by construction on any arms.
+    exp = table1_exp(300.0).at_distance(300.0, delta=100.0)
+    assert evaluate(exp, golden_src).R >= 0.0
+
+
+@pytest.mark.parametrize("override", [{"xi_tau": 1.0}, {"xi_tau_tilde": 1.0}])
+def test_evaluate_exact_mode_fluctuation_free_tail_levels(golden_exp, golden_src, override):
+    rep = evaluate(golden_exp, golden_src, method="A", mode="exact",
+                   budget=security_budget(**override))
+    assert math.isfinite(rep.R) and rep.R > 0.0
+
+
+def test_evaluate_approx_mode_rejects_non_default_tail_level(golden_exp, golden_src):
+    with pytest.raises(ValueError, match='mode="exact"'):
+        evaluate(golden_exp, golden_src, budget=security_budget(xi_tau=1e-4))
+
+
 def test_evaluate_asymmetric_arms_with_valid_constraint():
     base = SourceParams.symmetric(**GOLDEN_SRC)
     tweaked = replace(base, eps_b=0.35, mu_z_b=0.45)

@@ -59,6 +59,41 @@ def _direct_tail(n: int, p: float, m: int) -> float:
     )
 
 
+def _full_log_sum(n: int, p: float, m: int) -> float:
+    """Every term of the upper tail, summed in log space without truncation."""
+    logs = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+        for k in range(m, n + 1)
+    ]
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+
+
+def _oracle_p(trials: int, threshold: int, target: float) -> float:
+    """Bisection on ln(p) over the forward tail; slow but independent of betaincinv."""
+    lo, hi = -690.0, 0.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if binomial_tail(TailQuery(trials, math.exp(mid), threshold)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+def _oracle_m(trials: int, p: float, target: float) -> int:
+    """Smallest m with tail(m) <= target, bisected over the whole range [0, n + 1]."""
+    lo, hi = 0, trials + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if binomial_tail(TailQuery(trials, p, mid)) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 # ---------------------------------------------------------------------------
 # Chernoff: observed -> expected
 
@@ -208,6 +243,22 @@ def test_tail_summation_and_beta_paths_agree(p, m):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "n,p,thresholds",
+    [
+        (5000, 0.01, [1, 30, 50, 51, 80, 200]),  # mode 50
+        (10_000, 0.3, [2000, 3000, 3001, 3100, 3500]),  # mode 3000
+        (37, 0.9, [1, 20, 34, 36, 37]),  # mode 34
+        (10_000, 1e-6, [1, 2, 5]),  # mode 0
+    ],
+)
+def test_truncated_sum_matches_full_sum(n, p, thresholds):
+    from snskit.stats import _tail_by_summation
+
+    for m in thresholds:
+        assert _tail_by_summation(n, p, m) == pytest.approx(_full_log_sum(n, p, m), rel=1e-14)
+
+
 def test_tail_query_validation():
     with pytest.raises(ValueError):
         TailQuery(0, 0.5, 0)
@@ -251,6 +302,34 @@ def test_invert_tail_for_p_monotone_in_threshold():
         previous = p
 
 
+@pytest.mark.parametrize(
+    "trials,threshold,target",
+    [
+        (100, 7, 1e-3),
+        (5000, 60, 1e-10),
+        (9_999, 4000, 0.3),
+        (10_000, 1, 1e-2),  # last trial count on the summation path
+        (10_001, 1, 1e-2),  # first on the incomplete-beta path
+        (10_001, 10_001, 0.7),
+        (20_000, 260, 1e-6),
+        (2_000_000, 10_000, 1e-2),
+        (50_000_000, 3000, 1e-10),
+    ],
+)
+def test_invert_tail_for_p_matches_bisection_oracle(trials, threshold, target):
+    assert invert_tail_for_p(trials, threshold, target) == pytest.approx(
+        _oracle_p(trials, threshold, target), rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("trials", [1, 7, 3000, 10_001, 10**7])
+@pytest.mark.parametrize("target", [1e-12, 1e-2, 0.6])
+def test_invert_tail_for_p_single_threshold_closed_form(trials, target):
+    # Pr(X >= 1) = 1 - (1-p)^n inverts to p = -expm1(ln(1-target)/n).
+    want = -math.expm1(math.log1p(-target) / trials)
+    assert invert_tail_for_p(trials, 1, target) == pytest.approx(want, rel=1e-12)
+
+
 def test_invert_tail_for_p_rejects_zero_threshold():
     with pytest.raises(ValueError):
         invert_tail_for_p(10, 0, 1e-3)
@@ -266,6 +345,45 @@ def test_invert_tail_for_m_reference_point():
     assert m == 5456
     assert binomial_tail(TailQuery(1_000_000, 5e-3, m)) <= 1e-10
     assert binomial_tail(TailQuery(1_000_000, 5e-3, m - 1)) > 1e-10
+
+
+@pytest.mark.parametrize(
+    "trials,p,target",
+    [
+        (1, 0.3, 0.2),
+        (1, 0.3, 0.5),
+        (1, 0.0, 1e-10),
+        (1, 1.0, 1e-10),
+        (10, 0.0, 0.7),
+        (10, 1.0, 1e-10),
+        (10, 1.0, 0.9),
+        (3, 0.999, 1e-3),
+        (200, 0.5, 0.5),
+        (200, 0.5, 0.9),
+        (9_999, 1e-3, 1e-12),
+        (10_000, 0.3, 1e-10),
+        (20_000, 0.37, 0.75),
+        (1_000_000, 5e-3, 1e-10),
+        (12_345_678, 2e-2, 1e-10),
+        (10**7, 1e-9, 1e-2),
+    ],
+)
+def test_invert_tail_for_m_brackets_target(trials, p, target):
+    m = invert_tail_for_m(trials, p, target)
+    assert m == _oracle_m(trials, p, target)
+    assert 1 <= m <= trials + 1
+    assert binomial_tail(TailQuery(trials, p, m)) <= target
+    assert binomial_tail(TailQuery(trials, p, m - 1)) > target
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**7),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-14, max_value=0.49),
+)
+def test_invert_tail_for_m_matches_full_range_bisection(trials, p, target):
+    assert invert_tail_for_m(trials, p, target) == _oracle_m(trials, p, target)
 
 
 def test_invert_tail_for_m_monotone_in_target():

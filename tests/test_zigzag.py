@@ -173,6 +173,40 @@ def test_M_bar_s_exact_close_to_approx():
         assert exact <= approx * 1.01
 
 
+def test_M_bar_s_exact_fluctuation_free_pre_pairing_level():
+    # xi_tau = 1 takes the expectation: e_tau = M_bar / trials_pre.
+    n, r, m_bar = 10**6, 9940.0, 10**4
+    free = security_budget(xi_tau=1.0)
+    m_s, e_tau, big_e, flags = compute_M_bar_s(n, r, m_bar, "exact", free)
+    assert flags == ()
+    assert e_tau == m_bar / math.floor(2 * n - r)
+    assert big_e == e_tau * (1.0 - e_tau)
+    # The survived-count inversion still runs at the default level.
+    shift = round(m_s - r)
+    assert binomial_tail(TailQuery(math.ceil(n - r), big_e, shift)) <= 1e-10
+    assert binomial_tail(TailQuery(math.ceil(n - r), big_e, shift - 1)) > 1e-10
+
+
+def test_M_bar_s_exact_fluctuation_free_survived_level():
+    # xi_tau_tilde = 1 takes the expectation: M_bar_s = trials_post * E_tau + r.
+    n, r, m_bar = 10**6, 9940.0, 10**4
+    m_s, e_tau, big_e, flags = compute_M_bar_s(
+        n, r, m_bar, "exact", security_budget(xi_tau_tilde=1.0)
+    )
+    _, e_tau_default, _, _ = compute_M_bar_s(n, r, m_bar, "exact", BUDGET)
+    assert flags == ()
+    assert e_tau == e_tau_default
+    assert m_s == math.ceil(n - r) * big_e + r
+
+
+@pytest.mark.parametrize("override", [{"xi_tau": 1e-4}, {"xi_tau_tilde": 1e-12}, {"xi_tau": 1.0}])
+def test_M_bar_s_approx_rejects_other_tail_levels(override):
+    budget = security_budget(**override)
+    with pytest.raises(ValueError, match='mode="exact"'):
+        compute_M_bar_s(10**6, 10**4, 10**4, "approx", budget)
+    compute_M_bar_s(10**6, 10**4, 10**4, "exact", budget)  # exact mode takes any level
+
+
 def test_M_bar_s_monotone_in_inputs():
     base, *_ = compute_M_bar_s(10**6, 10**4, 10**4, "approx", BUDGET)
     more_errors, *_ = compute_M_bar_s(10**6, 10**4, 2 * 10**4, "approx", BUDGET)
@@ -252,6 +286,19 @@ def test_run_zigzag_exact_mode_tightens(golden_obs, golden_exp, golden_src, defa
     exact = run_zigzag(bounds, golden_obs, default_budget, "exact")
     assert exact.M_bar_s <= approx.M_bar_s * 1.01
     assert exact.M_bar_s == pytest.approx(245204.99271849229, rel=1e-10)  # frozen
+
+
+def test_run_zigzag_approx_rejects_other_tail_levels_before_short_circuit(golden_obs):
+    from snskit.decoy import UntaggedBounds
+
+    # Even a dead chain, which never reaches the quantiles, reports the
+    # budget it cannot honour instead of a ledger that does not hold.
+    empty = UntaggedBounds(
+        s01_L=0.0, s10_L=0.0, s1_L=0.0, n01_L=0.0, n10_L=0.0, n1_L=0.0,
+        e1ph_U=1.0, method="A", flags=("vacuous-decoy-bound",),
+    )
+    with pytest.raises(ValueError, match='mode="exact"'):
+        run_zigzag(empty, golden_obs, security_budget(xi_tau=1e-4), "approx")
 
 
 def test_run_zigzag_dead_branch(golden_obs, default_budget):
