@@ -17,7 +17,14 @@ from .keyrate import (
     key_rate,
     plob_bounds,
 )
-from .optimizer import OptimizationProblem, OptimizeResult, ScanPoint, optimize, scan
+from .optimizer import (
+    OptimizationProblem,
+    OptimizeResult,
+    RestartRecord,
+    ScanPoint,
+    optimize,
+    scan,
+)
 from .zigzag import ZigzagResult, run_zigzag
 
 __version__ = "0.1.0"
@@ -32,6 +39,7 @@ __all__ = [
     "KeyRateReport",
     "OptimizationProblem",
     "OptimizeResult",
+    "RestartRecord",
     "ScanPoint",
     "heralded_rate",
     "transmittance",

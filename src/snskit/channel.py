@@ -71,13 +71,18 @@ class ExperimentalParams:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.f < 1.0:
-            raise ValueError(f"f must be >= 1, got {self.f}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.L_A < 0 or self.L_B < 0:
-            raise ValueError("arm lengths must be non-negative")
-        if self.M_slices < 1:
+        # Every comparison is written to be False for NaN, so NaN fails it.
+        if not (1.0 <= self.f < math.inf):
+            raise ValueError(f"f must be finite and >= 1, got {self.f}")
+        if not (0.0 <= self.alpha_f < math.inf):
+            raise ValueError(f"alpha_f must be finite and non-negative, got {self.alpha_f}")
+        if not (1.0 <= self.N < math.inf):
+            raise ValueError(f"N must be finite and >= 1, got {self.N}")
+        if not (0.0 <= self.L_A < math.inf and 0.0 <= self.L_B < math.inf):
+            raise ValueError(
+                f"arm lengths must be finite and non-negative, got {self.L_A}, {self.L_B}"
+            )
+        if not (self.M_slices >= 1):
             raise ValueError(f"M_slices must be >= 1, got {self.M_slices}")
         if self.slice_mode not in ("average", "ideal"):
             raise ValueError(f"slice_mode must be 'average' or 'ideal', got {self.slice_mode!r}")
@@ -133,10 +138,14 @@ class SourceParams:
             (self.mu1, self.mu2, "mu1 < mu2"),
             (self.mu1_b, self.mu2_b, "mu1_b < mu2_b"),
         ):
-            if not (0.0 < lo < hi):
-                raise ValueError(f"intensities must satisfy 0 < {pair}, got {lo}, {hi}")
-        if self.mu_z <= 0.0 or self.mu_z_b <= 0.0:
-            raise ValueError("signal intensities must be positive")
+            if not (0.0 < lo < hi < math.inf):
+                raise ValueError(
+                    f"intensities must satisfy 0 < {pair} < inf, got {lo}, {hi}"
+                )
+        if not (0.0 < self.mu_z < math.inf and 0.0 < self.mu_z_b < math.inf):
+            raise ValueError(
+                f"signal intensities must be finite and positive, got {self.mu_z}, {self.mu_z_b}"
+            )
 
     @classmethod
     def symmetric(

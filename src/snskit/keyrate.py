@@ -24,7 +24,8 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 # Flags that invalidate the security chain; anything else (degenerate-window
-# warnings, the k floor, the no-error floor) is informational only.
+# warnings, the k floor, the no-error floor, a negative secret margin) is
+# informational only.
 VACUOUS_FLAGS = frozenset({
     "vacuous-decoy-bound",
     "vacuous-untagged-rate",
@@ -121,7 +122,10 @@ def evaluate(
     """Simulate, estimate, and assemble the full key-rate report.
 
     Deterministic unless a sampling seed is given.  Any vacuous bound along
-    the way forces R = 0 while keeping the flag in the report.
+    the way forces R = 0 while keeping the flag in the report.  A rate that
+    key_rate clamps to 0 because the secret margin (the survived untagged
+    bits' secrecy minus error correction and the failure-probability terms)
+    is not positive carries the flag "negative-secret-margin".
     """
     if budget is None:
         budget = security_budget()
@@ -137,6 +141,8 @@ def evaluate(
     zz = run_zigzag(bounds, obs, budget, mode)
     flags = obs.flags + bounds.flags + zz.flags
     rate = key_rate(zz.n1_prime, zz.e1ph_prime, obs.n_t_prime, obs.E_prime, exp, budget)
+    if rate == 0.0 and zz.n1_prime > 0:  # key_rate clamped its margin
+        flags += ("negative-secret-margin",)
     if any(f in VACUOUS_FLAGS for f in flags):
         rate = 0.0
     plob1, plob2 = plob_bounds(exp.L_total, exp.alpha_f, exp.eta_d)

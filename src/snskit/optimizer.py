@@ -10,6 +10,7 @@ through the source constraint, so every probed point satisfies it exactly.
 Each optimization draws a seeded set of restart points, runs the simplex
 from each, and keeps the best evaluation ever made, which makes results
 deterministic per seed and independent of how restarts are scheduled.
+Each restart reports one compact record, not its evaluations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .budget import SecurityBudget, security_budget
 from .channel import ExperimentalParams, SourceParams
@@ -29,6 +29,7 @@ from .keyrate import evaluate, plob_bounds
 __all__ = [
     "OptimizationProblem",
     "OptimizeResult",
+    "RestartRecord",
     "ScanPoint",
     "optimize",
     "scan",
@@ -83,10 +84,30 @@ class OptimizationProblem:
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """What one simplex restart did.
+
+    start        starting point in the transformed search coordinates
+    nfev         objective calls scipy counted, infeasible corners included
+    evaluations  key-rate evaluations made (feasible points only)
+    status       scipy's exit status (0 converged, 1 evaluation cap, 2 iteration cap)
+    rate         best rate the restart evaluated (0.0 if none was positive)
+    params       source of that rate, or None
+    """
+
+    start: tuple[float, ...]
+    nfev: int
+    evaluations: int
+    status: int
+    rate: float
+    params: SourceParams | None
+
+
+@dataclass(frozen=True)
 class OptimizeResult:
     params: SourceParams | None
     rate: float
-    trace: tuple[tuple[SourceParams, float], ...]
+    restarts: tuple[RestartRecord, ...]
     evaluations: int
     flags: tuple[str, ...] = field(default_factory=tuple)
 
@@ -211,28 +232,44 @@ class _Space:
         return t
 
 
-def _run_restart(problem: OptimizationProblem, start: list[float]) -> tuple[list, int]:
-    """One simplex descent; returns its evaluation trace and count."""
+def _better(rate: float, src: SourceParams, best_rate: float,
+            best_src: SourceParams | None) -> bool:
+    """Higher rate wins; equal positive rates go to the smaller parameter vector."""
+    return rate > best_rate or (
+        rate == best_rate and best_src is not None and rate > 0.0
+        and _key(src) < _key(best_src)
+    )
+
+
+def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRecord:
+    """One simplex descent, keeping only its running best."""
+    from scipy.optimize import minimize  # deferred: import snskit skips scipy.optimize
+
     space = _Space(problem)
     budget = problem.security if problem.security is not None else security_budget()
     plob1, _ = plob_bounds(problem.exp.L_total, problem.exp.alpha_f, problem.exp.eta_d)
     scale = plob1 if plob1 > 0 else 1.0
-    trace: list[tuple[SourceParams, float]] = []
+    evaluations = 0
+    best_src: SourceParams | None = None
+    best_rate = 0.0
 
     def objective(t: np.ndarray) -> float:
+        nonlocal evaluations, best_src, best_rate
         src = space.decode(t)
         if src is None:
             return 1.0  # infeasible corner; any rate beats it
-        report = evaluate(
+        rate = evaluate(
             problem.exp, src, method=problem.method,
             mode=problem.zigzag_mode, budget=budget,
-        )
-        trace.append((src, report.R))
-        return -report.R / scale
+        ).R
+        evaluations += 1
+        if _better(rate, src, best_rate, best_src):
+            best_src, best_rate = src, rate
+        return -rate / scale
 
     x0 = np.asarray(start, dtype=float)
     simplex = np.vstack([x0] + [x0 + _SIMPLEX_STEP * e for e in np.eye(len(x0))])
-    minimize(
+    res = minimize(
         objective, x0, method="Nelder-Mead",
         options={
             "maxfev": problem.max_evals,
@@ -241,7 +278,10 @@ def _run_restart(problem: OptimizationProblem, start: list[float]) -> tuple[list
             "initial_simplex": simplex,
         },
     )
-    return trace, len(trace)
+    return RestartRecord(
+        start=tuple(start), nfev=int(res.nfev), evaluations=evaluations,
+        status=int(res.status), rate=best_rate, params=best_src,
+    )
 
 
 def _starts(problem: OptimizationProblem) -> list[list[float]]:
@@ -272,28 +312,20 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     """
     starts = _starts(problem)
     workers = _worker_count()
-    traces: list[list[tuple[SourceParams, float]]] = []
     if workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for trace, _ in pool.map(_run_restart, [problem] * len(starts), starts):
-                traces.append(trace)
+            records = tuple(pool.map(_run_restart, [problem] * len(starts), starts))
     else:
-        for start in starts:
-            trace, _ = _run_restart(problem, start)
-            traces.append(trace)
-    merged: list[tuple[SourceParams, float]] = [pt for tr in traces for pt in tr]
-    evaluations = len(merged)
+        records = tuple(_run_restart(problem, start) for start in starts)
+    evaluations = sum(rec.evaluations for rec in records)
     best_src: SourceParams | None = None
     best_rate = 0.0
-    for src, rate in merged:
-        if rate > best_rate or (
-            rate == best_rate and best_src is not None and rate > 0.0
-            and _key(src) < _key(best_src)
-        ):
-            best_src, best_rate = src, rate
+    for rec in records:
+        if rec.params is not None and _better(rec.rate, rec.params, best_rate, best_src):
+            best_src, best_rate = rec.params, rec.rate
     if best_src is None:
-        return OptimizeResult(None, 0.0, tuple(merged), evaluations, ("zero-rate-box",))
-    return OptimizeResult(best_src, best_rate, tuple(merged), evaluations)
+        return OptimizeResult(None, 0.0, records, evaluations, ("zero-rate-box",))
+    return OptimizeResult(best_src, best_rate, records, evaluations)
 
 
 def _key(src: SourceParams) -> tuple:

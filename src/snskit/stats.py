@@ -1,12 +1,13 @@
 """Concentration bounds and tail utilities for finite-key estimation.
 
-Everything in this module is a pure function of its arguments.  The two
-Chernoff-style interval inversions share one numerical core: after a change
-of variable both pairs of defining equations reduce to the two roots of a
-convex relative-entropy residual, which we bracket in log space and bisect.
-Bisection on a fixed log-width bracket is unconditionally convergent for
-counts from ~1e-300 to ~1e15 and failure probabilities down to ~1e-300,
-which is the whole operating range of the key-rate pipeline.
+Everything in this module is a pure function of its arguments.  The
+Chernoff-style interval inversions reduce, after a change of variable
+s = ln(t/X), to the two roots of a convex relative-entropy residual, one
+on each side of s = 0.  Callers need one end of an interval at a time, so
+each end is its own function: a closed-form seed (the branch-point series
+s ~ +-sqrt(2c) near s = 0, the asymptote or the Lambert-W form far from
+it) followed by a few Newton steps, which converge quadratically.  The
+two-sided ``*_bounds`` functions compose the one-sided ends.
 
 The binomial-tail inversions use closed forms where one exists.  Since
 Pr(X >= m) = I_p(m, n-m+1), the success probability at a given tail level
@@ -29,6 +30,10 @@ __all__ = [
     "ChernoffResult",
     "chernoff_expected_bounds",
     "chernoff_observed_bounds",
+    "chernoff_expected_lower",
+    "chernoff_expected_upper",
+    "chernoff_observed_lower",
+    "chernoff_observed_upper",
     "binomial_tail",
     "invert_tail_for_p",
     "invert_tail_for_m",
@@ -36,8 +41,9 @@ __all__ = [
     "mcdiarmid_delta",
 ]
 
-_LOG_SPAN = 690.0  # widest log-ratio ever searched; exp() stays finite below it
-_BISECT_STEPS = 80  # 690 / 2**80 is far below double precision
+_LOG_SPAN = 690.0  # widest log-ratio solved for; exp() stays finite below it
+_NEWTON_RTOL = 1e-8  # relative step after which a quadratic step adds nothing
+_NEWTON_MAX_STEPS = 50
 _SUMMATION_LIMIT = 10_000  # below this trial count, sum the tail in log space
 _LOG_TERM_CUTOFF = 50.0  # past the mode, a term this far below the peak ends the sum
 
@@ -86,15 +92,128 @@ def _excess_entropy_residual(s: float) -> float:
     return math.expm1(s) * (s - 1.0) + s
 
 
-def _bisect_log(f, lo: float, hi: float, target: float, increasing: bool) -> float:
-    """Root of f(s) = target, f monotone on [lo, hi] with the stated direction."""
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _excess_entropy_slope(s: float) -> float:
+    return math.exp(s) * s
+
+
+def _excess_entropy_log_gap(s: float) -> float:
+    """ln(1 - (u*ln(u) - u + 1)) = s + ln(1 - s) through s = ln(u), for s < 1.
+
+    Below s = 0 the residual flattens towards 1 and loses its low digits
+    in floating point; this form keeps them.
+    """
+    return s + math.log1p(-s)
+
+
+def _excess_entropy_log_gap_slope(s: float) -> float:
+    return -s / (1.0 - s)
+
+
+def _newton(f, slope, target: float, s: float) -> float:
+    """Root of f(s) = target by Newton steps from the seed s.
+
+    Every residual here is convex or concave and monotone on the side of 0
+    it is solved on, so after the first step the iterates approach the root
+    from one side.  Convergence is quadratic: once a step falls below
+    _NEWTON_RTOL * |s| the next one would be below double precision.  The
+    step cap only guards the regime where rounding in f, not the root,
+    sets the step size (counts beyond ~1e15).
+    """
+    for _ in range(_NEWTON_MAX_STEPS):
+        step = (f(s) - target) / slope(s)
+        s -= step
+        if abs(step) < _NEWTON_RTOL * abs(s):
+            break
+    return s
+
+
+def _checked_cap(value: float, failure_prob: float, what: str) -> float:
+    """Validate one bound's arguments and return ln(2/xi)."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{what} must be finite and non-negative, got {value!r}")
+    _check_failure_prob(failure_prob)
+    return math.log(2.0 / failure_prob)
+
+
+def chernoff_expected_lower(observed: float, failure_prob: float) -> float:
+    """Lower end X*e^s of the expected-value interval, s < 0.
+
+    Root of ``expm1(s) - s = ln(2/xi)/X``; the seed is the branch-point
+    series -sqrt(2c) - c/3 for small c and the asymptote -1 - c above.
+    """
+    X = float(observed)
+    cap = _checked_cap(X, failure_prob, "observed count")
+    if X == 0.0:
+        return 0.0
+    c = cap / X
+    if _rel_entropy_residual(-_LOG_SPAN) <= c:
+        return 0.0  # root sits below X*e^-690; indistinguishable from zero
+    seed = -math.sqrt(2.0 * c) - c / 3.0 if c < 1.0 else -1.0 - c
+    return X * math.exp(_newton(_rel_entropy_residual, math.expm1, c, seed))
+
+
+def chernoff_expected_upper(observed: float, failure_prob: float) -> float:
+    """Upper end X*e^s of the expected-value interval, s > 0.
+
+    Root of ``expm1(s) - s = ln(2/xi)/X``; the seed is the branch-point
+    series sqrt(2c) - c/3 for small c and ln(1 + c + ln(1 + c)) above.
+    A zero count gives ln(2/xi).
+    """
+    X = float(observed)
+    cap = _checked_cap(X, failure_prob, "observed count")
+    if X == 0.0:
+        return cap
+    c = cap / X
+    if _rel_entropy_residual(_LOG_SPAN) < c:
+        return cap  # only reachable for sub-1e-290 counts; cap is conservative
+    seed = math.sqrt(2.0 * c) - c / 3.0 if c < 1.0 else math.log1p(c + math.log1p(c))
+    return X * math.exp(_newton(_rel_entropy_residual, math.expm1, c, seed))
+
+
+def chernoff_observed_lower(expected: float, failure_prob: float) -> float:
+    """Lower end u*Y of the observed-value interval, u < 1.
+
+    Root of ``u*ln(u) - u + 1 = ln(2/xi)/Y``, solved as
+    ``s + ln(1 - s) = ln(1 - c)`` in s = ln(u); the seed is the branch-point
+    series -sqrt(2c) - 2c/3 for small c and ln(1 - c) - ln(1 - ln(1 - c))
+    towards c = 1.  No root exists once c >= 1 (the residual stays below 1
+    on (0, 1)), and the end is 0.
+    """
+    Y = float(expected)
+    cap = _checked_cap(Y, failure_prob, "expected value")
+    if Y == 0.0:
+        return 0.0
+    c = cap / Y
+    if c >= 1.0:
+        return 0.0
+    target = math.log1p(-c)
+    seed = -math.sqrt(2.0 * c) - 2.0 * c / 3.0 if c < 0.5 else target - math.log1p(-target)
+    s = _newton(_excess_entropy_log_gap, _excess_entropy_log_gap_slope, target, seed)
+    return Y * math.exp(s)
+
+
+def chernoff_observed_upper(expected: float, failure_prob: float) -> float:
+    """Upper end u*Y of the observed-value interval, u > 1.
+
+    Root of ``u*ln(u) - u + 1 = ln(2/xi)/Y``, which is s = 1 + W((c - 1)/e)
+    in s = ln(u); the seed is the branch-point series sqrt(2c) - 2c/3 for
+    c < 1 and Winitzki's approximation W(x) ~ L*(1 - ln(1 + L)/(2 + L)),
+    L = ln(1 + x), above.  A zero expectation gives ln(2/xi).
+    """
+    Y = float(expected)
+    cap = _checked_cap(Y, failure_prob, "expected value")
+    if Y == 0.0:
+        return cap
+    c = cap / Y
+    if _excess_entropy_residual(_LOG_SPAN) < c:
+        return cap  # degenerate sub-1e-300 expectation; cap is conservative
+    if c < 1.0:
+        seed = math.sqrt(2.0 * c) - 2.0 * c / 3.0
+    else:
+        w = math.log1p((c - 1.0) / math.e)
+        seed = 1.0 + w * (1.0 - math.log1p(w) / (2.0 + w))
+    s = _newton(_excess_entropy_residual, _excess_entropy_slope, c, seed)
+    return Y * math.exp(s)
 
 
 def chernoff_expected_bounds(observed: float, failure_prob: float) -> ChernoffResult:
@@ -109,27 +228,11 @@ def chernoff_expected_bounds(observed: float, failure_prob: float) -> ChernoffRe
     A zero count keeps the analytic limits: lower 0 and upper ``ln(2/xi)``,
     so zero-click windows flow through callers without branching.
     """
-    X = float(observed)
-    if not math.isfinite(X) or X < 0.0:
-        raise ValueError(f"observed count must be finite and non-negative, got {observed!r}")
-    _check_failure_prob(failure_prob)
-    cap = math.log(2.0 / failure_prob)
-    if X == 0.0:
-        return ChernoffResult(0.0, cap, failure_prob)
-    c = cap / X
-    # Lower root, s = ln(t/X) in (-span, 0): residual decreases from ~span to 0.
-    if _rel_entropy_residual(-_LOG_SPAN) <= c:
-        lower = 0.0  # root sits below X*e^-690; indistinguishable from zero
-    else:
-        s = _bisect_log(_rel_entropy_residual, -_LOG_SPAN, 0.0, c, increasing=False)
-        lower = X * math.exp(s)
-    # Upper root, s in (0, span): residual increases without bound.
-    if _rel_entropy_residual(_LOG_SPAN) < c:
-        upper = cap  # only reachable for sub-1e-290 counts; cap is conservative
-    else:
-        s = _bisect_log(_rel_entropy_residual, 0.0, _LOG_SPAN, c, increasing=True)
-        upper = X * math.exp(s)
-    return ChernoffResult(lower, upper, failure_prob)
+    return ChernoffResult(
+        chernoff_expected_lower(observed, failure_prob),
+        chernoff_expected_upper(observed, failure_prob),
+        failure_prob,
+    )
 
 
 def chernoff_observed_bounds(expected: float, failure_prob: float) -> ChernoffResult:
@@ -141,25 +244,11 @@ def chernoff_observed_bounds(expected: float, failure_prob: float) -> ChernoffRe
     happens exactly for ``Y <= ln(2/xi)``.  A zero expectation keeps the
     limiting convention (0, ln(2/xi)).
     """
-    Y = float(expected)
-    if not math.isfinite(Y) or Y < 0.0:
-        raise ValueError(f"expected value must be finite and non-negative, got {expected!r}")
-    _check_failure_prob(failure_prob)
-    cap = math.log(2.0 / failure_prob)
-    if Y == 0.0:
-        return ChernoffResult(0.0, cap, failure_prob)
-    c = cap / Y
-    if c >= 1.0:  # sup of the residual on (0, 1) is 1
-        lower = 0.0
-    else:
-        s = _bisect_log(_excess_entropy_residual, -_LOG_SPAN, 0.0, c, increasing=False)
-        lower = Y * math.exp(s)
-    if _excess_entropy_residual(_LOG_SPAN) < c:
-        upper = cap  # degenerate sub-1e-300 expectation; cap is conservative
-    else:
-        s = _bisect_log(_excess_entropy_residual, 0.0, _LOG_SPAN, c, increasing=True)
-        upper = Y * math.exp(s)
-    return ChernoffResult(lower, upper, failure_prob)
+    return ChernoffResult(
+        chernoff_observed_lower(expected, failure_prob),
+        chernoff_observed_upper(expected, failure_prob),
+        failure_prob,
+    )
 
 
 def _tail_by_summation(trials: int, p: float, threshold: int) -> float:
@@ -251,7 +340,7 @@ def invert_tail_for_m(trials: int, success_prob: float, target: float) -> int:
     if target < 0.5:
         mean = trials * success_prob
         lo = max(math.floor(mean) - 1, 0)
-        upper = chernoff_observed_bounds(mean, 2.0 * target).upper
+        upper = chernoff_observed_upper(mean, 2.0 * target)
         hi = min(math.ceil(upper) + 1, trials + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2

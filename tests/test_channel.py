@@ -40,6 +40,41 @@ def test_source_params_validation():
         SourceParams.symmetric(p_z=0.0, eps=0.3, p0=0.5, p1=0.3, mu1=0.05, mu2=0.4, mu_z=0.4)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("f", _NAN), ("f", _INF),
+        ("N", _NAN), ("N", _INF),
+        ("L_A", _NAN), ("L_B", _INF),
+        ("alpha_f", _NAN), ("alpha_f", _INF), ("alpha_f", -_INF), ("alpha_f", -0.1),
+    ],
+)
+def test_experimental_params_reject_nan_inf_and_negative_loss(name, value):
+    # Before these checks, f=NaN gave R = NaN with no flag, NaN N, L_A or
+    # alpha_f crashed deep in simulate, and a negative alpha_f constructed.
+    message = {"f": "^f must", "N": "^N must", "L_A": "arm lengths", "L_B": "arm lengths",
+               "alpha_f": "^alpha_f must"}[name]
+    with pytest.raises(ValueError, match=message):
+        table1_exp(300.0, **{name: value})
+
+
+def test_experimental_params_accept_lossless_fiber():
+    assert table1_exp(300.0, alpha_f=0.0).alpha_f == 0.0
+
+
+@pytest.mark.parametrize("name", ["mu1", "mu2", "mu_z", "mu2_b", "mu_z_b"])
+@pytest.mark.parametrize("value", [_NAN, _INF])
+def test_source_params_reject_nan_and_inf_intensities(name, value):
+    fields = dict(GOLDEN_SRC)
+    fields.update({f"{k}_b": v for k, v in GOLDEN_SRC.items()})
+    fields[name] = value
+    with pytest.raises(ValueError, match="intensities"):
+        SourceParams(**fields)
+
+
 # ---------------------------------------------------------------------------
 # Transmittance
 

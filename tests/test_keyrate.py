@@ -222,6 +222,17 @@ def test_evaluate_symmetric_source_on_unequal_arms(golden_src):
     assert evaluate(exp, golden_src).R >= 0.0
 
 
+def test_evaluate_flags_negative_secret_margin(golden_src):
+    # The symmetric golden source on 200/100 km arms passes every bound but
+    # leaves a negative secret margin; the zero rate names that cause.
+    from snskit.keyrate import VACUOUS_FLAGS
+
+    rep = evaluate(table1_exp(300.0).at_distance(300.0, delta=100.0), golden_src)
+    assert rep.R == 0.0 and not rep.secure
+    assert rep.flags == ("negative-secret-margin",)
+    assert "negative-secret-margin" not in VACUOUS_FLAGS
+
+
 @pytest.mark.parametrize("override", [{"xi_tau": 1.0}, {"xi_tau_tilde": 1.0}])
 def test_evaluate_exact_mode_fluctuation_free_tail_levels(golden_exp, golden_src, override):
     rep = evaluate(golden_exp, golden_src, method="A", mode="exact",

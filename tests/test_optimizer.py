@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import pytest
 
+from snskit import optimizer
 from snskit.channel import SourceParams
 from snskit.keyrate import evaluate
 from snskit.optimizer import OptimizationProblem, _Space, optimize, scan
@@ -16,6 +20,20 @@ def _small_problem(**overrides) -> OptimizationProblem:
     )
     kwargs.update(overrides)
     return OptimizationProblem(**kwargs)
+
+
+def _recorded_optimize(monkeypatch, problem: OptimizationProblem):
+    """Run optimize in-process and return it with every (source, rate) evaluated."""
+    probes: list[tuple[SourceParams, float]] = []
+
+    def recording(*args, **kwargs):
+        report = evaluate(*args, **kwargs)
+        probes.append((report.src, report.R))
+        return report
+
+    monkeypatch.setenv("SNSKIT_THREADS", "1")
+    monkeypatch.setattr(optimizer, "evaluate", recording)
+    return optimize(problem), probes
 
 
 def test_space_round_trip():
@@ -53,37 +71,44 @@ def test_single_evaluation_returns_start_point():
     assert out.evaluations >= 1
 
 
-def test_optimize_deterministic_per_seed():
-    a = optimize(_small_problem())
-    b = optimize(_small_problem())
+def test_optimize_deterministic_per_seed(monkeypatch):
+    a, probes_a = _recorded_optimize(monkeypatch, _small_problem())
+    b, probes_b = _recorded_optimize(monkeypatch, _small_problem())
     assert a.rate == b.rate
-    assert len(a.trace) == len(b.trace)
-    assert [r for _, r in a.trace] == [r for _, r in b.trace]
+    assert a.restarts == b.restarts
+    assert probes_a == probes_b  # every evaluation, in order
     # A different seed draws different restart points (the warm start is
-    # shared, so compare the probed parameter vectors, not the rates).
+    # shared, so the first record's start point is too).
     c = optimize(_small_problem(seed=12))
-    tail_a = [s.mu2 for s, _ in a.trace[150:]]
-    tail_c = [s.mu2 for s, _ in c.trace[150:]]
-    assert tail_a != tail_c
+    assert a.restarts[0].start == c.restarts[0].start
+    assert a.restarts[1].start != c.restarts[1].start
+    assert a.restarts[1] != c.restarts[1]
 
 
-def test_optimize_best_dominates_trace():
-    out = optimize(_small_problem())
-    assert out.rate >= max(r for _, r in out.trace)
+def test_optimize_best_dominates_every_evaluation(monkeypatch):
+    out, probes = _recorded_optimize(monkeypatch, _small_problem())
+    assert out.evaluations == len(probes)
+    assert out.rate == max(r for _, r in probes)
     best_eval = evaluate(table1_exp(300.0), out.params, method="A").R
     assert best_eval == pytest.approx(out.rate, rel=1e-12)
 
 
-def test_optimize_running_best_is_monotone():
-    out = optimize(_small_problem())
-    running = 0.0
-    improvements = []
-    for _, rate in out.trace:
-        if rate > running:
-            improvements.append(rate)
-            running = rate
-    assert improvements == sorted(improvements)
-    assert improvements  # found something positive at all
+def test_optimize_records_running_best_per_restart(monkeypatch):
+    out, probes = _recorded_optimize(monkeypatch, _small_problem())
+    assert len(out.restarts) == 2
+    first = 0
+    for rec in out.restarts:
+        mine = probes[first:first + rec.evaluations]
+        first += rec.evaluations
+        assert rec.nfev >= rec.evaluations  # infeasible corners count only for scipy
+        assert rec.status in (0, 1)
+        assert rec.rate == max(r for _, r in mine)
+        if rec.params is None:  # a restart on the zero-rate plateau
+            assert rec.rate == 0.0
+        else:
+            assert (rec.params, rec.rate) in mine
+    assert first == len(probes) == out.evaluations
+    assert out.rate == max(rec.rate for rec in out.restarts) > 0.0
 
 
 def test_optimize_improves_on_start():
@@ -147,4 +172,11 @@ def test_worker_count_does_not_change_result(monkeypatch):
     monkeypatch.setenv("SNSKIT_THREADS", "2")
     parallel = optimize(_small_problem(restarts=2, max_evals=60))
     assert serial.rate == parallel.rate
-    assert [r for _, r in serial.trace] == [r for _, r in parallel.trace]
+    assert serial.restarts == parallel.restarts
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, snskit; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snskit import stats
 from snskit.stats import (
     TailQuery,
     binomial_tail,
     chernoff_expected_bounds,
+    chernoff_expected_lower,
+    chernoff_expected_upper,
     chernoff_observed_bounds,
+    chernoff_observed_lower,
+    chernoff_observed_upper,
     invert_tail_for_m,
     invert_tail_for_p,
     mcdiarmid_delta,
@@ -51,6 +56,63 @@ def _oracle_root(f, lo: float, hi: float, target: float, iters: int = 200) -> fl
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# The 80-step log-space bisection the closed-form Chernoff roots replaced,
+# kept as their reference: it brackets each root on a fixed log-width span
+# and converges unconditionally.
+_LOG_SPAN = 690.0
+_BISECT_STEPS = 80  # 690 / 2**80 is far below double precision
+
+
+def _bisect_log(f, lo: float, hi: float, target: float, increasing: bool) -> float:
+    """Root of f(s) = target, f monotone on [lo, hi] with the stated direction."""
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < target) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisected_ends(X: float, xi: float, residual, no_lower) -> tuple[float, float]:
+    """Both interval ends X*e^s from the roots of residual(s) = ln(2/xi)/X."""
+    cap = math.log(2.0 / xi)
+    if X == 0.0:
+        return 0.0, cap
+    c = cap / X
+    if no_lower(c):
+        lower = 0.0
+    else:
+        lower = X * math.exp(_bisect_log(residual, -_LOG_SPAN, 0.0, c, increasing=False))
+    if residual(_LOG_SPAN) < c:
+        upper = cap
+    else:
+        upper = X * math.exp(_bisect_log(residual, 0.0, _LOG_SPAN, c, increasing=True))
+    return lower, upper
+
+
+def _bisected_expected(X: float, xi: float) -> tuple[float, float]:
+    def residual(s):
+        return math.expm1(s) - s
+
+    return _bisected_ends(X, xi, residual, lambda c: residual(-_LOG_SPAN) <= c)
+
+
+def _bisected_observed(Y: float, xi: float) -> tuple[float, float]:
+    def residual(s):
+        return math.expm1(s) * (s - 1.0) + s
+
+    return _bisected_ends(Y, xi, residual, lambda c: c >= 1.0)
+
+
+_ONE_SIDED = [
+    pytest.param(chernoff_expected_lower, chernoff_expected_upper, _bisected_expected,
+                 id="expected"),
+    pytest.param(chernoff_observed_lower, chernoff_observed_upper, _bisected_observed,
+                 id="observed"),
+]
 
 
 def _direct_tail(n: int, p: float, m: int) -> float:
@@ -207,6 +269,104 @@ def test_observed_bounds_small_expectation_clamps_lower():
     xi = 1e-10
     assert chernoff_observed_bounds(math.log(2.0 / xi) * 0.99, xi).lower == 0.0
     assert chernoff_observed_bounds(math.log(2.0 / xi) * 1.50, xi).lower > 0.0
+
+
+# ---------------------------------------------------------------------------
+# One-sided Chernoff roots against the bisection they replaced
+
+
+@pytest.mark.parametrize("lower,upper,oracle", _ONE_SIDED)
+@settings(max_examples=300, deadline=None)
+@given(
+    log_x=st.floats(min_value=-3.0, max_value=14.0),
+    log_xi=st.floats(min_value=-14.0, max_value=-2.0),
+)
+def test_one_sided_roots_match_bisection(lower, upper, oracle, log_x, log_xi):
+    X, xi = 10.0**log_x, 10.0**log_xi
+    want_lower, want_upper = oracle(X, xi)
+    assert upper(X, xi) == pytest.approx(want_upper, rel=1e-12)
+    if oracle is _bisected_observed and 0.99 < math.log(2.0 / xi) / X < 1.0:
+        return  # degenerate end: the residual's rounding, not the root, sets both answers
+    assert lower(X, xi) == pytest.approx(want_lower, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lower,upper,oracle", _ONE_SIDED)
+@pytest.mark.parametrize("X", [0.0, 1e-300, 1e-290, 1e14])
+@pytest.mark.parametrize("xi", [1e-13, 1e-2])
+def test_one_sided_roots_at_count_extremes(lower, upper, oracle, X, xi):
+    # 0 and 1e-300 take the clamped branches (lower 0, upper ln(2/xi) for
+    # expected values); 1e-290 puts the upper root near s = 671.
+    want_lower, want_upper = oracle(X, xi)
+    assert lower(X, xi) == pytest.approx(want_lower, rel=1e-12, abs=0.0)
+    assert upper(X, xi) == pytest.approx(want_upper, rel=1e-12, abs=0.0)
+
+
+def test_observed_lower_at_the_no_root_edge():
+    xi = 1e-10
+    cap = math.log(2.0 / xi)
+    assert chernoff_observed_lower(cap, xi) == 0.0  # c == 1
+    assert chernoff_observed_lower(cap * (1.0 - 2.0**-40), xi) == 0.0  # c just above 1
+    Y = cap * (1.0 + 2.0**-40)  # c just below 1: the root sits near s = -31
+    c = cap / Y
+    assert c < 1.0
+    u = chernoff_observed_lower(Y, xi) / Y
+    assert 0.0 < u < 1e-12
+    # u*ln(u) - u + 1 = c, in the form that keeps the digits of 1 - c.
+    assert u * (1.0 - math.log(u)) == pytest.approx(1.0 - c, rel=1e-9)
+
+
+def test_expected_lower_at_the_vanishing_root_edge():
+    # The lower root leaves the searched span once c reaches expm1(-690) + 690.
+    xi = 1e-10
+    cap = math.log(2.0 / xi)
+    edge = math.expm1(-_LOG_SPAN) + _LOG_SPAN
+    assert chernoff_expected_lower(cap / edge, xi) == 0.0
+    X = cap / (edge - 1.0)
+    assert chernoff_expected_lower(X, xi) == pytest.approx(
+        _bisected_expected(X, xi)[0], rel=1e-12
+    )
+
+
+def test_newton_seeds_converge_in_few_steps(monkeypatch):
+    # The closed-form seeds leave every root a few quadratic steps away; a
+    # poor seed would still converge, only slowly.
+    real = stats._newton
+    steps: list[int] = []
+
+    def counting(f, slope, target, s):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        root = real(counted, slope, target, s)
+        steps.append(calls[0])
+        return root
+
+    monkeypatch.setattr(stats, "_newton", counting)
+    xi = 1e-10
+    cap = math.log(2.0 / xi)
+    roots = (chernoff_expected_lower, chernoff_expected_upper,
+             chernoff_observed_lower, chernoff_observed_upper)
+    for k in range(-320, 57):  # c from 1e-16 to about 400, 20 per decade
+        X = cap / 10.0 ** (k / 20.0)
+        for root in roots:
+            root(X, xi)
+    assert steps and max(steps) <= 5
+    # Below c = 1e-10 the series seed, to second order, is already exact to
+    # the stop tolerance, so the first step is the last.
+    steps.clear()
+    for k in range(-320, -199):
+        for root in roots:
+            root(cap / 10.0 ** (k / 20.0), xi)
+    assert steps == [1] * (4 * 121)
+    # Far below s = 0 the asymptote -1 - c of the expected lower root is
+    # exact to double precision as well.
+    steps.clear()
+    for c in (40.0, 100.0, 600.0):
+        chernoff_expected_lower(cap / c, xi)
+    assert steps == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
