@@ -59,8 +59,7 @@ class SecurityBudget:
     def eps_s(self) -> float:
         """Failure probability of the post-pairing phase-error bound."""
         head = self.eps_e + 2.0 * self.eps_def
-        tail_part = head / self.xi_tau if head > 0.0 else 0.0
-        return self.xi_tau_tilde + tail_part + 2.0 * self.eps_def
+        return self.xi_tau_tilde + head / self.xi_tau + 2.0 * self.eps_def
 
     @property
     def eps_sec(self) -> float:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import i0
 
 __all__ = [
     "ExperimentalParams",
@@ -33,8 +33,17 @@ __all__ = [
     "simulate",
 ]
 
-# 64-point Gauss-Legendre rule; the slice integrand is entire, so this is
-# converged to machine precision for any slice count >= 2.
+# Largest intensity a source may set: e^(+-mu) stays a finite, normal float
+# below it (the same span as stats._LOG_SPAN).
+_MAX_INTENSITY = 690.0
+
+# The slice average of the wrong-click probability is a power series in the
+# interference amplitude (see _slice_mean_excess_terms).  Its terms alternate,
+# so past |amp| = 1 it loses digits (5e-13 relative at amp = 5, 4e-8 at 10
+# with 16 slices); there the 64-point Gauss-Legendre rule below takes over.
+# The integrand is entire, so the rule is converged for any slice count >= 2.
+_SERIES_MAX_AMP = 1.0
+_SERIES_RTOL = 1e-18  # a term this far below the running sum ends the series
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 
@@ -134,17 +143,19 @@ class SourceParams:
             raise ValueError(f"p0 + p1 must be <= 1, got {self.p0 + self.p1}")
         if self.p0_b + self.p1_b > 1.0:
             raise ValueError(f"p0_b + p1_b must be <= 1, got {self.p0_b + self.p1_b}")
+        # Comparisons are written to be False for NaN, so NaN fails them.
         for lo, hi, pair in (
             (self.mu1, self.mu2, "mu1 < mu2"),
             (self.mu1_b, self.mu2_b, "mu1_b < mu2_b"),
         ):
-            if not (0.0 < lo < hi < math.inf):
+            if not (0.0 < lo < hi <= _MAX_INTENSITY):
                 raise ValueError(
-                    f"intensities must satisfy 0 < {pair} < inf, got {lo}, {hi}"
+                    f"intensities must satisfy 0 < {pair} <= {_MAX_INTENSITY:g}, got {lo}, {hi}"
                 )
-        if not (0.0 < self.mu_z < math.inf and 0.0 < self.mu_z_b < math.inf):
+        if not (0.0 < self.mu_z <= _MAX_INTENSITY and 0.0 < self.mu_z_b <= _MAX_INTENSITY):
             raise ValueError(
-                f"signal intensities must be finite and positive, got {self.mu_z}, {self.mu_z_b}"
+                f"signal intensities must lie in (0, {_MAX_INTENSITY:g}], "
+                f"got {self.mu_z}, {self.mu_z_b}"
             )
 
     @classmethod
@@ -228,11 +239,9 @@ def transmittance(exp: ExperimentalParams) -> tuple[float, float]:
 
 
 def _i0_minus_1(z: float) -> float:
-    # I0(z) - 1 without cancellation for the small arguments that dominate here.
-    if z < 0.1:
-        q = 0.25 * z * z
-        return q * (1.0 + q * (0.25 + q * (1.0 / 36.0 + q * (1.0 / 576.0 + q / 14400.0))))
-    return float(i0(z)) - 1.0
+    # I0(z) - 1 without cancellation, for z < 0.1 (truncation below 1e-19).
+    q = 0.25 * z * z
+    return q * (1.0 + q * (0.25 + q * (1.0 / 36.0 + q * (1.0 / 576.0 + q / 14400.0))))
 
 
 def heralded_rate(x: float, y: float, p_d: float) -> float:
@@ -246,15 +255,25 @@ def heralded_rate(x: float, y: float, p_d: float) -> float:
         2(1-p_d) e^(-(x+y)/2) I0(sqrt(x*y)) - 2(1-p_d)^2 e^(-(x+y)).
 
     Evaluated here in an algebraically identical form that stays accurate
-    when both intensities are far below the dark-count rate.
+    when both intensities are far below the dark-count rate.  From
+    sqrt(x*y) = 0.1 on there is no cancellation to avoid, and the scaled
+    Bessel function keeps e^(-(x+y)/2) I0(sqrt(x*y)) finite at any intensity.
     """
     if x < 0.0 or y < 0.0:
         raise ValueError(f"intensities must be non-negative, got {x}, {y}")
     if not (0.0 <= p_d <= 1.0):
         raise ValueError(f"dark-count probability must lie in [0, 1], got {p_d}")
     s = x + y
-    core = math.expm1(0.5 * s) + math.exp(0.5 * s) * _i0_minus_1(math.sqrt(x * y)) + p_d
-    return 2.0 * (1.0 - p_d) * math.exp(-s) * core
+    z = math.sqrt(x * y)
+    if z < 0.1:
+        core = math.expm1(0.5 * s) + math.exp(0.5 * s) * _i0_minus_1(z) + p_d
+        return 2.0 * (1.0 - p_d) * math.exp(-s) * core
+    from scipy.special import i0e  # deferred: import snskit loads no scipy
+
+    # e^(-s/2) I0(z) = i0e(z) e^(z - s/2), and z - s/2 <= 0.
+    return 2.0 * (1.0 - p_d) * (
+        float(i0e(z)) * math.exp(z - 0.5 * s) - (1.0 - p_d) * math.exp(-s)
+    )
 
 
 def _count(window: float, rate: float, rng: np.random.Generator | None) -> int:
@@ -310,6 +329,83 @@ def _wrong_click_probability(delta: float, half: float, amp: float, p_d: float) 
     return fire_wrong * silent_right
 
 
+@lru_cache(maxsize=None)
+def _slice_constants(m_slices: int) -> tuple[float, float, float]:
+    """cos(b), 1 - sin(b)/b and 1 - cos(b) for the slice half-width b = pi/M."""
+    b = math.pi / m_slices
+    if b < 1.0:
+        # 1 - sin(b)/b = sum_n (-1)^(n+1) b^(2n)/(2n+1)!, free of the
+        # cancellation the direct form suffers for small b.
+        b2 = b * b
+        term = one_minus_sinc = b2 / 6.0
+        n = 1
+        while abs(term) > _SERIES_RTOL * one_minus_sinc:
+            n += 1
+            term *= -b2 / ((2 * n) * (2 * n + 1))
+            one_minus_sinc += term
+    else:
+        one_minus_sinc = 1.0 - math.sin(b) / b
+    sin_half = math.sin(0.5 * b)
+    return math.cos(b), one_minus_sinc, 2.0 * sin_half * sin_half
+
+
+def _slice_mean_excess_terms(amp: float, m_slices: int):
+    """Terms of the slice mean of e^(-amp cos delta) - e^(-amp) over [0, pi/M].
+
+    The series is sum_k -(-amp)^k/k! E_k, where E_k = 1 - C_k and C_k is the
+    slice mean of cos^k delta.  It is taken around e^(-amp) rather than 1:
+    the caller adds e^(-amp) - e^(-half) next, and with matched arms and
+    e_d = 0 (half = amp) a series around 1 cancels against it to three
+    digits at 64 slices.  The recurrence of C_k gives
+
+        E_0 = 0,  E_1 = 1 - sin(b)/b,
+        E_k = (1 - cos^(k-1)(b) sin(b)/b)/k + (k-1)/k E_(k-2),
+
+    and 1 - cos^(k-1)(b) sin(b)/b = s + (1 - s) t_k with s = 1 - sin(b)/b and
+    t_k = 1 - cos^(k-1)(b), so for M >= 2 every piece is a sum of
+    non-negative parts.  Terms stop once one falls below _SERIES_RTOL of the
+    running sum: 5 terms at |amp| = 1e-5, 22 at |amp| = 1.
+    """
+    cos_b, one_minus_sinc, one_minus_cos = _slice_constants(m_slices)
+    e_prev, e_cur = 0.0, one_minus_sinc  # E_(k-1), E_k at k = 1
+    t, power = 0.0, 1.0  # 1 - cos^(k-1)(b), cos^(k-1)(b) at k = 1
+    coef = amp  # -(-amp)^k/k!
+    total = term = amp * one_minus_sinc
+    yield term
+    k = 1
+    while abs(term) > _SERIES_RTOL * abs(total):
+        k += 1
+        t += one_minus_cos * power
+        power *= cos_b
+        edge = one_minus_sinc + (1.0 - one_minus_sinc) * t
+        e_prev, e_cur = e_cur, edge / k + (k - 1) / k * e_prev
+        coef *= -amp / k
+        term = coef * e_cur
+        total += term
+        yield term
+
+
+def _x1_error_probability(x: float, y: float, exp: ExperimentalParams) -> float:
+    """Wrong-click probability of a matched window with arriving intensities x, y."""
+    half = 0.5 * (x + y)
+    root_xy = math.sqrt(x * y)
+    amp = (1.0 - 2.0 * exp.e_d) * root_xy
+    if exp.slice_mode == "ideal":
+        return _wrong_click_probability(0.0, half, amp, exp.p_d)
+    if abs(amp) > _SERIES_MAX_AMP:
+        b = math.pi / exp.M_slices
+        # Average over [0, b]; the integrand is even so this equals [-b, b].
+        return 0.5 * math.fsum(
+            w * _wrong_click_probability(0.5 * b * (t + 1.0), half, amp, exp.p_d)
+            for t, w in _GL
+        )
+    excess = sum(_slice_mean_excess_terms(amp, exp.M_slices))
+    gap = 0.5 * (math.sqrt(x) - math.sqrt(y)) ** 2 + 2.0 * exp.e_d * root_xy  # half - amp
+    e_half = math.exp(-half)
+    bracket = excess - math.exp(-amp) * math.expm1(-gap) + exp.p_d * e_half
+    return (1.0 - exp.p_d) * e_half * bracket
+
+
 def simulate_x1_error(
     exp: ExperimentalParams,
     src: SourceParams,
@@ -320,23 +416,23 @@ def simulate_x1_error(
     The accepted phase window is |delta| <= pi/M_slices on either the aligned
     or anti-aligned slice (acceptance fraction 2/M_slices).  Misalignment
     moves a fraction e_d of each pulse into the opposite port, so the port
-    intensities are (x+y)/2 +- (1-2 e_d) sqrt(x*y) cos(delta).
+    intensities are half +- amp cos(delta) with half = (x+y)/2 and
+    amp = (1-2 e_d) sqrt(x*y).  The wrong-click probability at phase delta
+    factors as (1-p_d) e^(-half) [e^(-amp cos delta) - (1-p_d) e^(-half)],
+    so its average over the slice is
+
+        (1-p_d) e^(-half) [(A - e^(-amp)) - e^(-amp) expm1(-(half-amp)) + p_d e^(-half)]
+
+    with A the slice mean of e^(-amp cos delta).  For |amp| <= 1, which
+    every source with intensities up to 1 meets, A - e^(-amp) is a power
+    series (_slice_mean_excess_terms) and half - amp = (sqrt x - sqrt y)^2/2
+    + 2 e_d sqrt(x*y) is formed without cancellation; for e_d <= 1/2 the
+    three bracket terms are then all non-negative.  Larger amplitudes
+    average over the 64-point Gauss-Legendre rule.
     """
     eta_a, eta_b = transmittance(exp)
-    x, y = src.mu1 * eta_a, src.mu1_b * eta_b
     size = exp.N * (1.0 - src.p_z) * (1.0 - src.p_z_b) * src.p1 * src.p1_b * (2.0 / exp.M_slices)
-    half = 0.5 * (x + y)
-    amp = (1.0 - 2.0 * exp.e_d) * math.sqrt(x * y)
-    if exp.slice_mode == "ideal":
-        rate = _wrong_click_probability(0.0, half, amp, exp.p_d)
-    else:
-        b = math.pi / exp.M_slices
-        # Average over [0, b]; the integrand is even so this equals [-b, b].
-        rate = 0.5 * math.fsum(
-            w * _wrong_click_probability(0.5 * b * (t + 1.0), half, amp, exp.p_d)
-            for t, w in _GL
-        )
-    m = _count(size, rate, rng)
+    m = _count(size, _x1_error_probability(src.mu1 * eta_a, src.mu1_b * eta_b, exp), rng)
     flags = ("all-phases-accepted",) if exp.M_slices == 1 else ()
     t_rate = m / size if size > 0.0 else 0.0
     return size, m, t_rate, flags

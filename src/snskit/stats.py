@@ -23,8 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import betainc, betaincinv
-
 __all__ = [
     "TailQuery",
     "ChernoffResult",
@@ -300,6 +298,8 @@ def binomial_tail(query: TailQuery) -> float:
         return 1.0
     if n <= _SUMMATION_LIMIT:
         return min(_tail_by_summation(n, p, m), 1.0)
+    from scipy.special import betainc  # deferred: import snskit loads no scipy
+
     return float(betainc(m, n - m + 1, p))
 
 
@@ -317,6 +317,8 @@ def invert_tail_for_p(trials: int, threshold: int, target: float) -> float:
             "threshold must lie in [1, trials]: below 1 the tail is pinned at 1 "
             f"for every p (got threshold={threshold}, trials={trials})"
         )
+    from scipy.special import betaincinv  # deferred: import snskit loads no scipy
+
     return float(betaincinv(threshold, trials - threshold + 1, target))
 
 

@@ -240,10 +240,7 @@ def phase_error_rate_after_oper(
         raise ValueError("survived untagged count must be positive")
     if M_bar_s < 0:
         raise ValueError("error-count bound must be non-negative")
-    e1ph = min(M_bar_s / n1_prime, 1.0)
-    head = budget.eps_e + 2.0 * budget.eps_def
-    eps_s = budget.xi_tau_tilde + head / budget.xi_tau + 2.0 * budget.eps_def
-    return e1ph, eps_s
+    return min(M_bar_s / n1_prime, 1.0), budget.eps_s
 
 
 def run_zigzag(

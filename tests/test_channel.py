@@ -5,6 +5,8 @@ import pytest
 
 from snskit.channel import (
     SourceParams,
+    _slice_mean_excess_terms,
+    _x1_error_probability,
     heralded_rate,
     simulate,
     simulate_aopp_counts,
@@ -73,6 +75,21 @@ def test_source_params_reject_nan_and_inf_intensities(name, value):
     fields[name] = value
     with pytest.raises(ValueError, match="intensities"):
         SourceParams(**fields)
+
+
+def test_source_params_intensity_limit_is_690():
+    # e^(+-mu) stays finite up to 690; past it, mu2 = 800 would overflow
+    # math.exp inside the decoy bounds.
+    at_limit = SourceParams.symmetric(**{**GOLDEN_SRC, "mu1": 689.0, "mu2": 690.0, "mu_z": 690.0})
+    assert at_limit.mu2 == at_limit.mu_z_b == 690.0
+    above = math.nextafter(690.0, math.inf)
+    for name, value in [("mu2", above), ("mu_z", above), ("mu2_b", above), ("mu_z_b", above),
+                        ("mu2", 800.0)]:
+        fields = dict(GOLDEN_SRC)
+        fields.update({f"{k}_b": v for k, v in GOLDEN_SRC.items()})
+        fields[name] = value
+        with pytest.raises(ValueError, match="intensities"):
+            SourceParams(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +189,31 @@ def test_heralded_rate_against_phase_mc(x, y):
         assert got == pytest.approx(mean, rel=1e-7)
     else:
         assert abs(got - mean) < 3.0 * stderr
+
+
+@pytest.mark.parametrize(
+    "x,y", [(0.1, 0.1), (0.05, 0.2), (1.0, 3.0), (0.01, 400.0), (10.0, 10.0), (100.0, 100.0)]
+)
+def test_heralded_rate_scaled_bessel_branch(x, y):
+    # From sqrt(x*y) = 0.1 on the rate uses i0e; it must agree with the
+    # unscaled form wherever that one stays finite.
+    from scipy.special import i0
+
+    s = x + y
+    for p_d in (0.0, 1e-8, 1e-3):
+        core = math.expm1(s / 2) + math.exp(s / 2) * (float(i0(math.sqrt(x * y))) - 1.0) + p_d
+        want = 2.0 * (1.0 - p_d) * math.exp(-s) * core
+        assert heralded_rate(x, y, p_d) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_heralded_rate_finite_at_large_intensity():
+    # e^(s/2) I0(600) overflows to inf and e^(-1200) to 0, so the unscaled
+    # form gives inf * 0 = NaN here.
+    z = 600.0
+    asymptotic = (1.0 + 1.0 / (8 * z) + 9.0 / (128 * z * z)) / math.sqrt(2.0 * math.pi * z)
+    assert heralded_rate(z, z, 1e-8) == pytest.approx(
+        2.0 * (1.0 - 1e-8) * asymptotic, rel=1e-8, abs=0.0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +326,89 @@ def test_x1_window_size_scales_with_slice_count():
     assert flags == ()
     _, _, _, flags1 = simulate_x1_error(table1_exp(300.0, M_slices=1), src)
     assert flags1 == ("all-phases-accepted",)
+
+
+def _slice_average_oracle(x, y, exp):
+    """Slice average of the wrong-click probability by mpmath quadrature at 40
+    digits, from the float inputs taken exactly."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x, y, e_d, p_d = (mp.mpf(v) for v in (x, y, exp.e_d, exp.p_d))
+        half = (x + y) / 2
+        amp = (1 - 2 * e_d) * mp.sqrt(x * y)
+        b = mp.pi / exp.M_slices
+        silent = (1 - p_d) * mp.exp(-half)
+        avg = mp.quad(lambda d: silent * (mp.exp(-amp * mp.cos(d)) - silent), [0, b]) / b
+        return float(avg)
+
+
+def _gauss_legendre_64(x, y, exp):
+    """The 64-node rule over the direct integrand (the rule the series replaced)."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    b = math.pi / exp.M_slices
+    half, amp = 0.5 * (x + y), (1.0 - 2.0 * exp.e_d) * math.sqrt(x * y)
+    cos_d = np.cos(0.5 * b * (nodes + 1.0))
+    q = (1.0 - (1.0 - exp.p_d) * np.exp(-(half - amp * cos_d))) * (1.0 - exp.p_d) * np.exp(
+        -(half + amp * cos_d)
+    )
+    return 0.5 * math.fsum((weights * q).tolist())
+
+
+_SERIES_AMPS = [1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("m_slices", [1, 2, 16, 64])
+def test_x1_slice_series_against_mpmath_oracle(m_slices):
+    # Equal arms with e_d = 0 put half - amp at 0, the case where a series
+    # around 1 instead of e^(-amp) cancels to three digits.
+    cases = []
+    for a in _SERIES_AMPS:
+        cases += [
+            (a, a, 0.0, 0.0),  # amp = a, half - amp = 0
+            (a, a, 0.03, 1e-8),  # amp = 0.94 a
+            (a, 0.25 * a, 0.0, 1e-8),  # unequal arms, amp = a/2
+            (a, a, 0.8, 1e-8),  # e_d > 1/2: amp = -0.6 a
+            (a, a, 1.0, 0.0),  # amp = -a
+            (a, a, 0.5, 1e-8),  # amp = 0: one zero term
+        ]
+    for x, y, e_d, p_d in cases:
+        exp = table1_exp(300.0, e_d=e_d, p_d=p_d, M_slices=m_slices)
+        want = _slice_average_oracle(x, y, exp)
+        assert _x1_error_probability(x, y, exp) == pytest.approx(want, rel=1e-13, abs=0.0), (
+            x, y, e_d, p_d,
+        )
+
+
+@pytest.mark.parametrize("m_slices", [1, 2, 16, 64])
+def test_x1_slice_series_term_count(m_slices):
+    for a in _SERIES_AMPS:
+        for amp in (a, -a):
+            assert len(list(_slice_mean_excess_terms(amp, m_slices))) <= 25
+
+
+@pytest.mark.parametrize("amp", [1.5, 2.0, 5.0, 8.0, 20.0, 50.0])
+@pytest.mark.parametrize("m_slices", [2, 16, 64])
+def test_x1_large_amplitude_keeps_gauss_legendre(amp, m_slices):
+    # Past |amp| = 1 the alternating series loses digits (5e-11 at amp = 8,
+    # 5e-9 at amp = 10 with 16 slices and e_d = 0.03).
+    exp = table1_exp(300.0, e_d=0.03, M_slices=m_slices)
+    x = amp / (1.0 - 2.0 * exp.e_d)
+    got = _x1_error_probability(x, x, exp)
+    assert got == pytest.approx(_gauss_legendre_64(x, x, exp), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("L_total", [0.0, 100.0, 250.0, 300.0, 440.0, 600.0])
+@pytest.mark.parametrize("m_slices", [1, 2, 16, 32])
+@pytest.mark.parametrize("exp_overrides", [{}, {"e_d": 0.07, "p_d": 3.36e-8, "eta_d": 0.2}])
+def test_x1_error_count_matches_gauss_legendre(L_total, m_slices, exp_overrides):
+    # The series moves the rate by no more than the old rule's own error (up
+    # to 1e-7 relative); the rounded count of every golden set-up stays put.
+    exp = table1_exp(L_total, M_slices=m_slices, **exp_overrides)
+    src = SourceParams.symmetric(**GOLDEN_SRC)
+    eta_a, eta_b = transmittance(exp)
+    size, m, _, _ = simulate_x1_error(exp, src)
+    want = _gauss_legendre_64(src.mu1 * eta_a, src.mu1_b * eta_b, exp)
+    assert m == min(int(round(size * want)), int(size))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from snskit.keyrate import (
     key_rate,
     plob_bounds,
 )
+from snskit.tables import TABLE2_EXP
 from tests.conftest import GOLDEN_SRC, table1_exp
 
 
@@ -255,3 +256,18 @@ def test_evaluate_asymmetric_arms_with_valid_constraint():
     exp = table1_exp(300.0).at_distance(300.0, delta=100.0)
     rep = evaluate(exp, src)
     assert rep.R >= 0.0  # runs through; feasibility is all this checks
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"mu_z": 600.0}, {"mu_z": 690.0}, {"mu2": 690.0}, {"mu1": 689.0, "mu2": 690.0}],
+)
+@pytest.mark.parametrize("mode", ["approx", "exact"])
+def test_evaluate_large_intensities_give_finite_rate(override, mode):
+    # Every intensity up to the 690 limit gives a finite rate, also on a
+    # lossless link where the signal window's Bessel term is largest.
+    exp = replace(TABLE2_EXP, eta_d=1.0).at_distance(0.0)
+    src = SourceParams.symmetric(**{**GOLDEN_SRC, **override})
+    for method in ("A", "B"):
+        report = evaluate(exp, src, method=method, mode=mode)
+        assert math.isfinite(report.R) and report.R >= 0.0
