@@ -10,13 +10,7 @@ from .channel import (
     transmittance,
 )
 from .decoy import UntaggedBounds, estimate_untagged
-from .keyrate import (
-    KeyRateReport,
-    asymmetric_constraint_residual,
-    evaluate,
-    key_rate,
-    plob_bounds,
-)
+from .keyrate import KeyRateReport, evaluate, key_rate, plob_bounds
 from .optimizer import (
     OptimizationProblem,
     OptimizeResult,
@@ -49,7 +43,6 @@ __all__ = [
     "security_budget",
     "key_rate",
     "plob_bounds",
-    "asymmetric_constraint_residual",
     "evaluate",
     "optimize",
     "scan",

@@ -24,6 +24,7 @@ __all__ = [
     "ExperimentalParams",
     "SourceParams",
     "ObservedStats",
+    "constraint_ratio",
     "transmittance",
     "heralded_rate",
     "simulate_decoy_observables",
@@ -107,7 +108,7 @@ class ExperimentalParams:
         return replace(self, L_A=la, L_B=lb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SourceParams:
     """Source settings of both parties; ``_b`` marks the second party (Bob).
 
@@ -117,6 +118,9 @@ class SourceParams:
     p1     probability of the weaker decoy intensity mu1
     mu1, mu2  decoy intensities (0 < mu1 < mu2)
     mu_z   signal intensity
+
+    Sources order lexicographically in field order; the optimizer breaks
+    ties between equal rates toward the smaller one.
     """
 
     p_z: float
@@ -176,9 +180,9 @@ class SourceParams:
 
     def constraint_residual(self) -> float:
         """mu1/mu1_b minus the ratio the decoy analysis requires (0 when met)."""
-        num = self.eps * (1.0 - self.eps_b) * self.mu_z * math.exp(-self.mu_z)
-        den = self.eps_b * (1.0 - self.eps) * self.mu_z_b * math.exp(-self.mu_z_b)
-        return self.mu1 / self.mu1_b - num / den
+        return self.mu1 / self.mu1_b - constraint_ratio(
+            self.eps, self.eps_b, self.mu_z, self.mu_z_b
+        )
 
     def is_symmetric(self) -> bool:
         return (
@@ -198,7 +202,11 @@ class ObservedStats:
 
     Window labels are two letters, the first for Alice's source and the
     second for Bob's: o = vacuum, x = mu1, y = mu2.  ``N_*`` are pulse-pair
-    counts, ``n_*`` one-detector heralded counts, ``S_*`` their ratios.
+    counts and ``n_*`` one-detector heralded counts; N_X1 and m_X1 are the
+    size and wrong-click count of the phase-matched mu1 windows, and
+    n_c0, n_c1, n_v, n_d the signal-window counts (see simulate_z_counts).
+    Nothing derived from other fields is stored: an estimator divides a
+    count by its window size, and n_t sums the signal-window counts.
     """
 
     N_oo: float
@@ -211,24 +219,30 @@ class ObservedStats:
     n_xo: int
     n_oy: int
     n_yo: int
-    S_oo: float
-    S_ox: float
-    S_xo: float
-    S_oy: float
-    S_yo: float
     N_X1: float
     m_X1: int
-    T_X1: float
     n_c0: int
     n_c1: int
     n_v: int
     n_d: int
-    n_t: int
     n_g: float
     n_odd: float
     n_t_prime: float
     E_prime: float
     flags: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def n_t(self) -> int:
+        """Effective events in the signal windows, all four patterns."""
+        return self.n_c0 + self.n_c1 + self.n_v + self.n_d
+
+
+def constraint_ratio(eps: float, eps_b: float, mu_z: float, mu_z_b: float) -> float:
+    """The mu1/mu1_b ratio the asymmetric decoy analysis requires:
+    eps(1-eps_b) mu_z e^(-mu_z) / (eps_b (1-eps) mu_z_b e^(-mu_z_b))."""
+    return (eps * (1.0 - eps_b) * mu_z * math.exp(-mu_z)) / (
+        eps_b * (1.0 - eps) * mu_z_b * math.exp(-mu_z_b)
+    )
 
 
 def transmittance(exp: ExperimentalParams) -> tuple[float, float]:
@@ -288,11 +302,12 @@ def simulate_decoy_observables(
     exp: ExperimentalParams,
     src: SourceParams,
     rng: np.random.Generator | None = None,
-) -> tuple[dict[str, tuple[float, int, float]], tuple[str, ...]]:
-    """Pulse counts, click counts and rates of the five decoy-analysis windows.
+) -> tuple[dict[str, float], tuple[str, ...]]:
+    """Pulse-pair and click counts of the five decoy-analysis windows.
 
-    Returns a mapping ``window -> (N, n, S)`` for the windows oo, ox, xo, oy,
-    yo, plus warning flags for windows too small to be meaningful.
+    Returns the counts keyed by their ObservedStats names (``N_oo``,
+    ``n_oo``, ..., ``N_yo``, ``n_yo`` for the windows oo, ox, xo, oy, yo),
+    plus warning flags for windows too small to be meaningful.
     """
     eta_a, eta_b = transmittance(exp)
     pz, pzb = src.p_z, src.p_z_b
@@ -309,15 +324,15 @@ def simulate_decoy_observables(
     }
     mu_a = {"o": 0.0, "x": src.mu1, "y": src.mu2}
     mu_b = {"o": 0.0, "x": src.mu1_b, "y": src.mu2_b}
-    out: dict[str, tuple[float, int, float]] = {}
+    counts: dict[str, float] = {}
     flags: list[str] = []
     for w, size in sizes.items():
         rate = heralded_rate(mu_a[w[0]] * eta_a, mu_b[w[1]] * eta_b, exp.p_d)
-        n = _count(size, rate, rng)
+        counts[f"N_{w}"] = size
+        counts[f"n_{w}"] = _count(size, rate, rng)
         if size < 1.0:
             flags.append(f"degenerate-window:{w}")
-        out[w] = (size, n, n / size if size > 0.0 else 0.0)
-    return out, tuple(flags)
+    return counts, tuple(flags)
 
 
 def _wrong_click_probability(delta: float, half: float, amp: float, p_d: float) -> float:
@@ -410,8 +425,8 @@ def simulate_x1_error(
     exp: ExperimentalParams,
     src: SourceParams,
     rng: np.random.Generator | None = None,
-) -> tuple[float, int, float, tuple[str, ...]]:
-    """Size, error count and error rate of the phase-matched mu1 windows.
+) -> tuple[float, int, tuple[str, ...]]:
+    """Size and error count of the phase-matched mu1 windows, with flags.
 
     The accepted phase window is |delta| <= pi/M_slices on either the aligned
     or anti-aligned slice (acceptance fraction 2/M_slices).  Misalignment
@@ -434,19 +449,18 @@ def simulate_x1_error(
     size = exp.N * (1.0 - src.p_z) * (1.0 - src.p_z_b) * src.p1 * src.p1_b * (2.0 / exp.M_slices)
     m = _count(size, _x1_error_probability(src.mu1 * eta_a, src.mu1_b * eta_b, exp), rng)
     flags = ("all-phases-accepted",) if exp.M_slices == 1 else ()
-    t_rate = m / size if size > 0.0 else 0.0
-    return size, m, t_rate, flags
+    return size, m, flags
 
 
 def simulate_z_counts(
     exp: ExperimentalParams,
     src: SourceParams,
     rng: np.random.Generator | None = None,
-) -> tuple[int, int, int, int, int]:
+) -> tuple[int, int, int, int]:
     """Effective-event counts of the four signal-window sending patterns.
 
-    Returns (n_c0, n_c1, n_v, n_d, n_t): only-Bob-sent, only-Alice-sent,
-    neither sent, both sent, and their total.
+    Returns (n_c0, n_c1, n_v, n_d): only-Bob-sent, only-Alice-sent, neither
+    sent and both sent.
     """
     eta_a, eta_b = transmittance(exp)
     base = exp.N * src.p_z * src.p_z_b
@@ -458,7 +472,7 @@ def simulate_z_counts(
                   heralded_rate(src.mu_z * eta_a, 0.0, exp.p_d), rng)
     n_d = _count(base * src.eps * src.eps_b,
                  heralded_rate(src.mu_z * eta_a, src.mu_z_b * eta_b, exp.p_d), rng)
-    return n_c0, n_c1, n_v, n_d, n_c0 + n_c1 + n_v + n_d
+    return n_c0, n_c1, n_v, n_d
 
 
 def simulate_aopp_counts(
@@ -499,26 +513,19 @@ def simulate(
 ) -> ObservedStats:
     """Run the full linear-model simulation and assemble the observed record."""
     rng = np.random.default_rng(seed) if seed is not None else None
-    windows, flags = simulate_decoy_observables(exp, src, rng)
-    size_x1, m_x1, t_x1, x1_flags = simulate_x1_error(exp, src, rng)
-    n_c0, n_c1, n_v, n_d, n_t = simulate_z_counts(exp, src, rng)
+    counts, flags = simulate_decoy_observables(exp, src, rng)
+    size_x1, m_x1, x1_flags = simulate_x1_error(exp, src, rng)
+    n_c0, n_c1, n_v, n_d = simulate_z_counts(exp, src, rng)
     all_flags = list(flags) + list(x1_flags)
     try:
         n_g, n_t_prime, n_odd, e_prime = simulate_aopp_counts(n_c0, n_c1, n_v, n_d)
     except ValueError:
         n_g = n_t_prime = n_odd = e_prime = 0.0
         all_flags.append("aopp-degenerate")
-    (N_oo, n_oo, S_oo) = windows["oo"]
-    (N_ox, n_ox, S_ox) = windows["ox"]
-    (N_xo, n_xo, S_xo) = windows["xo"]
-    (N_oy, n_oy, S_oy) = windows["oy"]
-    (N_yo, n_yo, S_yo) = windows["yo"]
     return ObservedStats(
-        N_oo=N_oo, N_ox=N_ox, N_xo=N_xo, N_oy=N_oy, N_yo=N_yo,
-        n_oo=n_oo, n_ox=n_ox, n_xo=n_xo, n_oy=n_oy, n_yo=n_yo,
-        S_oo=S_oo, S_ox=S_ox, S_xo=S_xo, S_oy=S_oy, S_yo=S_yo,
-        N_X1=size_x1, m_X1=m_x1, T_X1=t_x1,
-        n_c0=n_c0, n_c1=n_c1, n_v=n_v, n_d=n_d, n_t=n_t,
+        **counts,
+        N_X1=size_x1, m_X1=m_x1,
+        n_c0=n_c0, n_c1=n_c1, n_v=n_v, n_d=n_d,
         n_g=n_g, n_odd=n_odd, n_t_prime=n_t_prime, E_prime=e_prime,
         flags=tuple(all_flags),
     )

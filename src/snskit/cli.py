@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+
+from .channel import SourceParams
 from .config import ConfigError, RunConfig, parse_config
 from .keyrate import KeyRateReport, evaluate, plob_bounds
 from .optimizer import OptimizationProblem, optimize, scan
@@ -29,10 +32,7 @@ EXIT_CONFIG = 2
 EXIT_ZERO_RATE = 3
 EXIT_IO = 4
 
-_PARAM_FIELDS = (
-    "p_z", "eps", "p0", "p1", "mu1", "mu2", "mu_z",
-    "p_z_b", "eps_b", "p0_b", "p1_b", "mu1_b", "mu2_b", "mu_z_b",
-)
+_PARAM_FIELDS = tuple(f.name for f in fields(SourceParams))
 
 
 def _sci(x: float) -> str:
@@ -69,7 +69,7 @@ def _report_lines(report: KeyRateReport) -> "list[str]":
         ("M_bar_s", f"{z.M_bar_s:.4f}"),
         ("n1_prime", str(z.n1_prime)),
         ("e1ph_prime", _sci(z.e1ph_prime)),
-        ("eps_s", _sci(z.eps_s)),
+        ("eps_s", _sci(report.budget.eps_s)),
         ("eps_tol", _sci(report.budget.eps_tol)),
         ("n_t", str(o.n_t)),
         ("n_t_prime", f"{o.n_t_prime:.4f}"),

@@ -4,8 +4,9 @@ The format is one ``section.key = value`` assignment per line, ``#`` starts
 a comment, blank lines are ignored.  Sections: ``exp.`` for hardware,
 ``src.`` for fixed source parameters (``_b`` suffix for the second party),
 ``opt.`` for optimization settings, ``budget.`` for failure probabilities
-and ``run.`` for method/mode/seed/output defaults that command-line flags
-can override.  Unknown keys are rejected with the offending line number.
+and ``run.`` for method/mode/output defaults that command-line flags can
+override (``--seed`` overrides ``opt.seed``).  Unknown keys are rejected
+with the offending line number.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ _EXP_KEYS = {
     "p_d": float, "e_d": float, "eta_d": float, "f": float, "alpha_f": float,
     "N": float, "L_A": float, "L_B": float, "M_slices": int, "slice_mode": str,
 }
-_SRC_SIDE = ("p_z", "eps", "p0", "p1", "mu1", "mu2", "mu_z")
-_SRC_KEYS = {k: float for k in _SRC_SIDE} | {k + "_b": float for k in _SRC_SIDE}
+_SRC_KEYS = {f.name: float for f in fields(SourceParams)}
+_SRC_SIDE = tuple(name for name in _SRC_KEYS if not name.endswith("_b"))
 _OPT_KEYS = {
     "mode": str, "restarts": int, "max_evals": int, "seed": int,
     "distances": str, "delta_L": float,
     "mu_lo": float, "mu_hi": float, "p_lo": float, "p_hi": float,
 }
 _BUDGET_KEYS = {f.name: float for f in fields(SecurityBudget)}
-_RUN_KEYS = {"method": str, "zigzag": str, "seed": int, "out": str}
+_RUN_KEYS = {"method": str, "zigzag": str, "out": str}
 
 _SECTIONS = {
     "exp": _EXP_KEYS,
@@ -165,7 +166,7 @@ def build_config(values: dict[str, str]) -> RunConfig:
         budget=budget,
         method=method,
         zigzag=zigzag,
-        seed=typed.get("run.seed", typed.get("opt.seed", 0)),
+        seed=typed.get("opt.seed", 0),
         out=typed.get("run.out"),
         opt_mode=opt_mode,
         restarts=typed.get("opt.restarts", 8),

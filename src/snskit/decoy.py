@@ -169,7 +169,10 @@ def bound_e1ph_mcdiarmid(
     delta = mcdiarmid_delta(
         obs.N_X1, obs.N_oo, n_T, s_T, src.mu1, src.mu1_b, budget.xi_e1
     )
-    numerator = obs.T_X1 - math.exp(-src.mu1 - src.mu1_b) * obs.S_oo / 2.0 + delta
+    # mcdiarmid_delta has rejected empty windows, so both rates are defined.
+    t_x1 = obs.m_X1 / obs.N_X1
+    s_oo = obs.n_oo / obs.N_oo
+    numerator = t_x1 - math.exp(-src.mu1 - src.mu1_b) * s_oo / 2.0 + delta
     return _e1ph_from_numerator(numerator, s1_L, src)
 
 

@@ -11,15 +11,7 @@ from .decoy import UntaggedBounds, estimate_untagged
 from .stats import shannon_entropy
 from .zigzag import ZigzagResult, run_zigzag
 
-__all__ = [
-    "SecurityBudget",
-    "security_budget",
-    "KeyRateReport",
-    "key_rate",
-    "plob_bounds",
-    "asymmetric_constraint_residual",
-    "evaluate",
-]
+__all__ = ["KeyRateReport", "key_rate", "plob_bounds", "evaluate"]
 
 _LOG2 = math.log(2.0)
 
@@ -103,12 +95,6 @@ def plob_bounds(L_total: float, alpha_f: float, eta_d: float) -> tuple[float, fl
         return -math.log1p(-transmittance) / _LOG2
 
     return bound(eta), bound(eta_d * eta)
-
-
-def asymmetric_constraint_residual(src: SourceParams) -> float:
-    """Residual of the source constraint that keeps asymmetric decoy analysis
-    valid; zero when satisfied, and exactly zero for symmetric sources."""
-    return src.constraint_residual()
 
 
 def evaluate(

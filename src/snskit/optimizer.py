@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .budget import SecurityBudget, security_budget
-from .channel import ExperimentalParams, SourceParams
+from .channel import ExperimentalParams, SourceParams, constraint_ratio
 from .keyrate import evaluate, plob_bounds
 
 __all__ = [
@@ -177,10 +177,7 @@ class _Space:
         p_z, eps, p0, p1, mu1, mu2, mu_z = a
         # Constraint elimination: the residual is linear in 1/mu1_b, so the
         # feasible mu1_b follows in closed form.
-        ratio = (eps * (1.0 - eps_b) * mu_z * math.exp(-mu_z)) / (
-            eps_b * (1.0 - eps) * mu_z_b * math.exp(-mu_z_b)
-        )
-        mu1_b = mu1 / ratio
+        mu1_b = mu1 / constraint_ratio(eps, eps_b, mu_z, mu_z_b)
         if not (0.0 < mu1_b < mu2_b):
             return None
         try:
@@ -237,7 +234,7 @@ def _better(rate: float, src: SourceParams, best_rate: float,
     """Higher rate wins; equal positive rates go to the smaller parameter vector."""
     return rate > best_rate or (
         rate == best_rate and best_src is not None and rate > 0.0
-        and _key(src) < _key(best_src)
+        and src < best_src
     )
 
 
@@ -326,13 +323,6 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     if best_src is None:
         return OptimizeResult(None, 0.0, records, evaluations, ("zero-rate-box",))
     return OptimizeResult(best_src, best_rate, records, evaluations)
-
-
-def _key(src: SourceParams) -> tuple:
-    return (
-        src.p_z, src.eps, src.p0, src.p1, src.mu1, src.mu2, src.mu_z,
-        src.p_z_b, src.eps_b, src.p0_b, src.p1_b, src.mu1_b, src.mu2_b, src.mu_z_b,
-    )
 
 
 def scan(

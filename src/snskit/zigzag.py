@@ -73,8 +73,8 @@ class ZigzagResult:
     E_tau       surviving-pair error probability e_tau*(1-e_tau)
     M_bar_s     post-pairing phase-error count bound
     n1_prime    survived untagged-bit count lower bound
-    e1ph_prime  post-pairing phase-flip error-rate upper bound
-    eps_s       failure probability of that bound
+    e1ph_prime  post-pairing phase-flip error-rate upper bound; its failure
+                probability is the budget's eps_s
     """
 
     u: float
@@ -87,7 +87,6 @@ class ZigzagResult:
     M_bar_s: float
     n1_prime: int
     e1ph_prime: float
-    eps_s: float
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -166,12 +165,14 @@ def reduction_failure(r: float, n: int, k: int) -> float:
     return 3.0 * k * k * math.exp(-r * k / (2.0 * n + k))
 
 
-def compute_M_bar(n: int, e1ph_U: float, budget: SecurityBudget) -> tuple[int, float]:
-    """Pre-pairing error-count bound over the 2n paired untagged bits."""
+def compute_M_bar(n: int, e1ph_U: float, budget: SecurityBudget) -> int:
+    """Pre-pairing error-count bound over the 2n paired untagged bits.
+
+    The bound fails with probability budget.eps_e.
+    """
     if not (0.0 <= e1ph_U <= 1.0):
         raise ValueError(f"error rate must lie in [0, 1], got {e1ph_U}")
-    m_bar = math.ceil(_phi_upper(2.0 * n * e1ph_U, budget.xi_e1))
-    return m_bar, budget.eps_e
+    return math.ceil(_phi_upper(2.0 * n * e1ph_U, budget.xi_e1))
 
 
 def compute_M_bar_s(
@@ -231,16 +232,17 @@ def compute_n1_prime(
     return math.floor(_phi_lower(expected, budget.xi_default))
 
 
-def phase_error_rate_after_oper(
-    M_bar_s: float, n1_prime: int, budget: SecurityBudget
-) -> tuple[float, float]:
-    """Phase-flip error rate of survived untagged bits, with its failure
-    probability composed from the tail levels and the reduction target."""
+def phase_error_rate_after_oper(M_bar_s: float, n1_prime: int) -> float:
+    """Phase-flip error rate of survived untagged bits, capped at 1.
+
+    The rate fails with probability budget.eps_s, which composes the tail
+    levels and the reduction target.
+    """
     if n1_prime <= 0:
         raise ValueError("survived untagged count must be positive")
     if M_bar_s < 0:
         raise ValueError("error-count bound must be non-negative")
-    return min(M_bar_s / n1_prime, 1.0), budget.eps_s
+    return min(M_bar_s / n1_prime, 1.0)
 
 
 def run_zigzag(
@@ -258,8 +260,7 @@ def run_zigzag(
     def _dead(flags: tuple[str, ...]) -> ZigzagResult:
         return ZigzagResult(
             u=0.0, n=0, k=0, r=0.0, M_bar=0, e_tau=0.0, E_tau=0.0,
-            M_bar_s=0.0, n1_prime=0, e1ph_prime=0.5, eps_s=budget.eps_s,
-            flags=flags,
+            M_bar_s=0.0, n1_prime=0, e1ph_prime=0.5, flags=flags,
         )
 
     _check_mode(mode, budget)
@@ -277,17 +278,16 @@ def run_zigzag(
     r = compute_r(n, k, budget.eps_def)
     if r >= n:
         return _dead(flags + ("zigzag-vacuous",))
-    m_bar, _ = compute_M_bar(n, bounds.e1ph_U, budget)
+    m_bar = compute_M_bar(n, bounds.e1ph_U, budget)
     m_bar_s, e_tau, big_e, ms_flags = compute_M_bar_s(n, r, m_bar, mode, budget)
     flags = flags + ms_flags
     n1_prime = compute_n1_prime(bounds.n01_L, bounds.n10_L, obs.n_t, u, budget)
     if n1_prime <= 0:
         return _dead(flags + ("zero-key",))
-    e1ph_prime, eps_s = phase_error_rate_after_oper(m_bar_s, n1_prime, budget)
+    e1ph_prime = phase_error_rate_after_oper(m_bar_s, n1_prime)
     if "vacuous-e-tau" in flags:
         e1ph_prime = max(e1ph_prime, 0.5)
     return ZigzagResult(
         u=u, n=n, k=k, r=r, M_bar=m_bar, e_tau=e_tau, E_tau=big_e,
-        M_bar_s=m_bar_s, n1_prime=n1_prime, e1ph_prime=e1ph_prime,
-        eps_s=eps_s, flags=flags,
+        M_bar_s=m_bar_s, n1_prime=n1_prime, e1ph_prime=e1ph_prime, flags=flags,
     )

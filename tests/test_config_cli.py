@@ -82,7 +82,7 @@ def test_build_config_symmetric_defaults(tmp_path):
     assert cfg.src is not None and cfg.src.is_symmetric()
     assert cfg.distances == (300.0,)
     assert cfg.method == "A" and cfg.zigzag == "approx"
-    assert cfg.seed == 7  # falls back to opt.seed
+    assert cfg.seed == 7  # from opt.seed
 
 
 def test_build_config_asymmetric_side(tmp_path):
@@ -100,6 +100,16 @@ def test_parse_config_overrides(tmp_path):
     assert cfg.method == "B"
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(path, overrides=["exp.bogus=1"])
+
+
+def test_run_seed_is_an_unknown_key(tmp_path, capsys):
+    # opt.seed is the one config key for the optimizer seed (--seed overrides it).
+    path = _write(tmp_path, BASE_CONFIG + "run.seed = 3\n")
+    assert main(["rate", "--config", path]) == 2
+    assert "unknown key 'run.seed'" in capsys.readouterr().err
+    plain = _write(tmp_path, BASE_CONFIG, name="plain.cfg")
+    assert main(["rate", "--config", plain, "--set", "run.seed=3"]) == 2
+    assert "unknown key 'run.seed'" in capsys.readouterr().err
 
 
 def test_build_config_validates_values():

@@ -20,8 +20,8 @@ from tests.conftest import GOLDEN_SRC, table1_exp
 def _obs_from_rates(rates: dict, sizes: dict, **extra) -> ObservedStats:
     """Synthetic observation record with exact (unrounded) window counts."""
     fields = dict(
-        N_X1=1e9, m_X1=0, T_X1=0.0,
-        n_c0=0, n_c1=0, n_v=0, n_d=0, n_t=0,
+        N_X1=1e9, m_X1=0,
+        n_c0=0, n_c1=0, n_v=0, n_d=0,
         n_g=0.0, n_odd=0.0, n_t_prime=0.0, E_prime=0.0,
     )
     for w in ("oo", "ox", "xo", "oy", "yo"):
@@ -29,7 +29,6 @@ def _obs_from_rates(rates: dict, sizes: dict, **extra) -> ObservedStats:
         rate = rates.get(w, 0.0)
         fields[f"N_{w}"] = size
         fields[f"n_{w}"] = size * rate
-        fields[f"S_{w}"] = rate
     fields.update(extra)
     return ObservedStats(**fields)
 
@@ -63,8 +62,8 @@ def test_s01_recovers_single_photon_yield_exactly():
     }
     obs = _obs_from_rates(rates, {})
     s01, s10 = bound_s01_s10(obs, src, FREE)
-    assert s01 == pytest.approx(y1, rel=1e-10)
-    assert s10 == pytest.approx(y1, rel=1e-10)
+    assert s01 == pytest.approx(y1, rel=1e-10, abs=0.0)
+    assert s10 == pytest.approx(y1, rel=1e-10, abs=0.0)
 
 
 def test_s01_equal_rates_closed_form():
@@ -76,7 +75,7 @@ def test_s01_equal_rates_closed_form():
     want = s * (m2**2 * math.exp(m1) - m1**2 * math.exp(m2) - m2**2 + m1**2) / (
         m2 * m1 * (m2 - m1)
     )
-    assert s01 == pytest.approx(want, rel=1e-12)
+    assert s01 == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_s01_golden_with_chernoff(golden_obs, golden_exp, golden_src, default_budget):
@@ -91,9 +90,9 @@ def test_s01_golden_with_chernoff(golden_obs, golden_exp, golden_src, default_bu
     want = (m2**2 * math.exp(m1) * ox_L - m1**2 * math.exp(m2) * oy_U
             - (m2**2 - m1**2) * oo_U) / (m2 * m1 * (m2 - m1))
     s01, s10 = bound_s01_s10(obs, golden_src, default_budget)
-    assert s01 == pytest.approx(want, rel=1e-12)
+    assert s01 == pytest.approx(want, rel=1e-12, abs=0.0)
     assert s01 == s10  # symmetric configuration
-    assert s01 == pytest.approx(0.0002929229195740095, rel=1e-12)  # frozen
+    assert s01 == pytest.approx(0.0002929229195740095, rel=1e-12, abs=0.0)  # frozen
 
 
 def test_s01_vacuous_clamps_to_zero():
@@ -117,8 +116,8 @@ def test_s01_monotone_in_ox_clicks(golden_obs, golden_src, default_budget):
 
 def test_s1_weighted_mean():
     src = SourceParams.symmetric(**GOLDEN_SRC)
-    assert bound_s1(0.02, 0.01, src) == pytest.approx(0.015, rel=1e-12)
-    assert bound_s1(0.013, 0.013, src) == pytest.approx(0.013, rel=1e-12)
+    assert bound_s1(0.02, 0.01, src) == pytest.approx(0.015, rel=1e-12, abs=0.0)
+    assert bound_s1(0.013, 0.013, src) == pytest.approx(0.013, rel=1e-12, abs=0.0)
 
 
 def test_s1_asymmetric_weights():
@@ -126,8 +125,8 @@ def test_s1_asymmetric_weights():
         SourceParams.symmetric(**GOLDEN_SRC), mu1=0.1, mu2=0.3, mu1_b=0.2, mu2_b=0.4
     )
     got = bound_s1(0.02, 0.01, src)
-    assert got == pytest.approx((0.1 * 0.01 + 0.2 * 0.02) / 0.3, rel=1e-12)
-    assert got == pytest.approx(0.016667, rel=1e-4)
+    assert got == pytest.approx((0.1 * 0.01 + 0.2 * 0.02) / 0.3, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(0.016667, rel=1e-4, abs=0.0)
 
 
 def test_untagged_counts_reference_value():
@@ -154,7 +153,7 @@ def test_untagged_counts_symmetric_equality(golden_exp, golden_src):
 
 def test_e1ph_clamps_nonpositive_numerator():
     src = SourceParams.symmetric(**GOLDEN_SRC)
-    obs = _obs_from_rates({"oo": 1e-3}, {}, N_X1=1e9, m_X1=0, T_X1=0.0)
+    obs = _obs_from_rates({"oo": 1e-3}, {}, N_X1=1e9, m_X1=0)
     assert bound_e1ph_chernoff(obs, src, 1e-4, FREE) == 0.0
 
 
@@ -177,14 +176,35 @@ def test_e1ph_golden_method_a(golden_obs, golden_src, default_budget):
     att = math.exp(-golden_src.mu1 - golden_src.mu1_b)
     want = (t_U - att * oo_L / 2.0) / (att * (golden_src.mu1 + golden_src.mu1_b) * s1)
     got = bound_e1ph_chernoff(golden_obs, golden_src, s1, default_budget)
-    assert got == pytest.approx(want, rel=1e-12)
-    assert got == pytest.approx(0.05025096723206448, rel=1e-12)  # frozen
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(0.05025096723206448, rel=1e-12, abs=0.0)  # frozen
 
 
 def test_e1ph_golden_method_b(golden_obs, golden_src, default_budget):
     s1 = 0.0002929229195740095
     got = bound_e1ph_mcdiarmid(golden_obs, golden_src, s1, default_budget)
-    assert got == pytest.approx(0.04379433833874567, rel=1e-12)  # frozen
+    assert got == pytest.approx(0.04379433833874567, rel=1e-12, abs=0.0)  # frozen
+
+
+def test_e1ph_method_b_reads_the_error_count(golden_obs, golden_src, default_budget):
+    # The numerator's error rate is m_X1/N_X1 of the record it is given.  A
+    # stored copy of that rate, left stale by replace(), gave 0.04403438788767503
+    # here: a 6.3 % under-bound that method A, which reads m_X1, does not have.
+    more = replace(golden_obs, m_X1=golden_obs.m_X1 + 50)
+    got = bound_e1ph_mcdiarmid(more, golden_src, 0.0002929229195740095, default_budget)
+    assert got == pytest.approx(0.046993316312724326, rel=1e-12, abs=0.0)
+
+
+def test_e1ph_method_b_reads_the_vacuum_count(golden_obs, golden_src, default_budget):
+    # More vacuum clicks enlarge the subtracted vacuum term by more than they
+    # widen the deviation term, so the bound falls.  A stale stored vacuum
+    # rate saw only the deviation term and rose, to 0.04590545053274661.
+    s1 = 0.0002929229195740095
+    base = bound_e1ph_mcdiarmid(golden_obs, golden_src, s1, default_budget)
+    more = replace(golden_obs, n_oo=golden_obs.n_oo + 500)
+    got = bound_e1ph_mcdiarmid(more, golden_src, s1, default_budget)
+    assert got < base
+    assert got == pytest.approx(0.04240951537570738, rel=1e-12, abs=0.0)
 
 
 def test_e1ph_method_b_not_worse_than_a(golden_obs, golden_src, default_budget):
@@ -225,7 +245,7 @@ def test_e1ph_method_b_zero_vacuum_clicks_defined(golden_src, default_budget):
     obs = _obs_from_rates(
         {"oo": 0.0, "ox": 1e-5, "oy": 3e-5, "xo": 1e-5, "yo": 3e-5},
         {},
-        N_X1=1e9, m_X1=300, T_X1=3e-7,
+        N_X1=1e9, m_X1=300,
     )
     got = bound_e1ph_mcdiarmid(obs, golden_src, 1e-5, default_budget)
     assert math.isfinite(got) and got >= 0.0
@@ -237,7 +257,7 @@ def test_estimate_untagged_method_b_empty_windows(golden_exp, golden_src, defaul
     obs = _obs_from_rates(
         {"oo": 0.0, "ox": 1e-5, "oy": 3e-5, "xo": 1e-5, "yo": 3e-5},
         {},
-        N_X1=1e9, m_X1=0, T_X1=0.0,
+        N_X1=1e9, m_X1=0,
     )
     b = estimate_untagged(obs, golden_exp, golden_src, default_budget, "B")
     assert b.e1ph_U == 1.0
@@ -268,7 +288,7 @@ def test_estimate_untagged_golden(golden_obs, golden_exp, golden_src, default_bu
     assert b.flags == ()
     assert b.n1_L == b.n01_L + b.n10_L
     assert b.n01_L == pytest.approx(15218282.934969228, rel=1e-12)  # frozen
-    assert b.e1ph_U == pytest.approx(0.05025096723206448, rel=1e-12)
+    assert b.e1ph_U == pytest.approx(0.05025096723206448, rel=1e-12, abs=0.0)
 
 
 def test_estimate_untagged_asymptotic_identity(golden_exp, golden_src):
@@ -290,9 +310,9 @@ def test_estimate_untagged_asymptotic_identity(golden_exp, golden_src):
     # One-sided heralded rate expands to sum_k P_k(mu*eta) * 2^(1-k) plus the
     # dark-count floor; the two-intensity bound sits at or below the exact
     # single-photon yield eta_b (up to the tiny dark/multiphoton correction).
-    assert s01 == pytest.approx(eta_b, rel=2e-2)
+    assert s01 == pytest.approx(eta_b, rel=2e-2, abs=0.0)
     assert s01 <= eta_b * (1.0 + 1e-12)
-    assert s10 == pytest.approx(s01, rel=1e-12)
+    assert s10 == pytest.approx(s01, rel=1e-12, abs=0.0)
 
 
 def test_estimate_untagged_vacuous_flags(golden_exp, golden_src, default_budget):

@@ -4,13 +4,8 @@ from dataclasses import replace
 import pytest
 
 from snskit.budget import security_budget
-from snskit.channel import SourceParams
-from snskit.keyrate import (
-    asymmetric_constraint_residual,
-    evaluate,
-    key_rate,
-    plob_bounds,
-)
+from snskit.channel import SourceParams, constraint_ratio
+from snskit.keyrate import evaluate, key_rate, plob_bounds
 from snskit.tables import TABLE2_EXP
 from tests.conftest import GOLDEN_SRC, table1_exp
 
@@ -122,13 +117,20 @@ def test_plob_ordering_and_zero_distance():
 
 
 def test_constraint_residual_symmetric_is_zero(golden_src):
-    assert asymmetric_constraint_residual(golden_src) == 0.0
+    assert golden_src.constraint_residual() == 0.0
 
 
 def test_constraint_residual_double_intensity():
     src = replace(SourceParams.symmetric(**GOLDEN_SRC), mu1=0.092, mu2=0.3)
     # mu_z, eps symmetric, mu1 = 2*mu1_b: the ratio term is 1, so residual = 1.
-    assert asymmetric_constraint_residual(src) == pytest.approx(1.0, rel=1e-12)
+    assert src.constraint_residual() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_constraint_ratio_closed_form():
+    got = constraint_ratio(0.28, 0.35, 0.504, 0.45)
+    want = (0.28 * 0.65 * 0.504 * math.exp(-0.504)) / (0.35 * 0.72 * 0.45 * math.exp(-0.45))
+    assert got == want
+    assert constraint_ratio(0.28, 0.28, 0.504, 0.504) == 1.0
 
 
 def test_constraint_bisection_oracle_matches_closed_form():

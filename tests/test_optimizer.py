@@ -1,12 +1,13 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from snskit import optimizer
 from snskit.channel import SourceParams
 from snskit.keyrate import evaluate
-from snskit.optimizer import OptimizationProblem, _Space, optimize, scan
+from snskit.optimizer import OptimizationProblem, _better, _Space, optimize, scan
 from tests.conftest import GOLDEN_SRC, table1_exp
 
 
@@ -109,6 +110,44 @@ def test_optimize_records_running_best_per_restart(monkeypatch):
             assert (rec.params, rec.rate) in mine
     assert first == len(probes) == out.evaluations
     assert out.rate == max(rec.rate for rec in out.restarts) > 0.0
+
+
+# Tie-break order the optimizer's frozen results rest on: every first-party
+# field, then every second-party field.
+_TIE_BREAK_FIELDS = (
+    "p_z", "eps", "p0", "p1", "mu1", "mu2", "mu_z",
+    "p_z_b", "eps_b", "p0_b", "p1_b", "mu1_b", "mu2_b", "mu_z_b",
+)
+
+
+def test_source_order_is_the_tie_break_order():
+    # Sources that each move one field off a common base sort by the
+    # earliest field in the order, so the sort pins the field priority.
+    base = SourceParams.symmetric(**GOLDEN_SRC)
+    sources = [base]
+    for name in _TIE_BREAK_FIELDS:
+        for scale in (0.95, 1.05):
+            sources.append(replace(base, **{name: getattr(base, name) * scale}))
+
+    def key(src):
+        return tuple(getattr(src, name) for name in _TIE_BREAK_FIELDS)
+
+    assert [key(s) for s in sorted(sources)] == sorted(key(s) for s in sources)
+
+
+def test_better_breaks_positive_ties_toward_smaller_source():
+    small = SourceParams.symmetric(**GOLDEN_SRC)
+    large = replace(small, mu_z_b=0.6)  # differs only in the last field
+    assert small < large
+    assert _better(1e-6, small, 1e-6, large)
+    assert not _better(1e-6, large, 1e-6, small)
+    assert not _better(1e-6, small, 1e-6, small)
+    # A higher rate wins whatever the order; a lower one never does.
+    assert _better(2e-6, large, 1e-6, small)
+    assert not _better(1e-6, small, 2e-6, large)
+    # Zero rates carry no tie-break, and nothing ties with an empty best.
+    assert not _better(0.0, small, 0.0, large)
+    assert not _better(0.0, small, 0.0, None)
 
 
 def test_optimize_improves_on_start():

@@ -103,19 +103,17 @@ def test_r_decreasing_in_k():
 
 
 def test_M_bar_zero_error_cap():
-    m, eps_e = compute_M_bar(10**6, 0.0, BUDGET)
-    assert m == 31  # ceil of ln(2/1e-13)
-    assert eps_e == pytest.approx(3e-13, rel=1e-12)
+    assert compute_M_bar(10**6, 0.0, BUDGET) == 31  # ceil of ln(2/1e-13)
 
 
 def test_M_bar_golden():
-    m, _ = compute_M_bar(10**6, 5e-3, BUDGET)
+    m = compute_M_bar(10**6, 5e-3, BUDGET)
     assert m == 10793  # frozen from the interval solver at 2n*e1ph = 1e4
     assert m == math.ceil(chernoff_observed_bounds(1e4, 1e-13).upper)
 
 
 def test_M_bar_monotone():
-    values = [compute_M_bar(10**6, e, BUDGET)[0] for e in (0.0, 1e-4, 1e-3, 1e-2, 0.1)]
+    values = [compute_M_bar(10**6, e, BUDGET) for e in (0.0, 1e-4, 1e-3, 1e-2, 0.1)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -241,19 +239,17 @@ def test_n1_prime_golden():
     assert got == 2513850  # frozen
 
 
-def test_phase_error_rate_defaults_failure_probability():
-    e1ph, eps_s = phase_error_rate_after_oper(100.0, 1000, BUDGET)
-    assert e1ph == pytest.approx(0.1, rel=1e-12)
-    assert eps_s == pytest.approx(1.502e-10, rel=1e-12)
+def test_phase_error_rate_is_count_over_survivors():
+    assert phase_error_rate_after_oper(100.0, 1000) == pytest.approx(0.1, rel=1e-12)
 
 
 def test_phase_error_rate_edges():
-    e1ph, _ = phase_error_rate_after_oper(0.0, 1000, BUDGET)
-    assert e1ph == 0.0
-    e1ph, _ = phase_error_rate_after_oper(5000.0, 1000, BUDGET)
-    assert e1ph == 1.0
+    assert phase_error_rate_after_oper(0.0, 1000) == 0.0
+    assert phase_error_rate_after_oper(5000.0, 1000) == 1.0
     with pytest.raises(ValueError):
-        phase_error_rate_after_oper(100.0, 0, BUDGET)
+        phase_error_rate_after_oper(100.0, 0)
+    with pytest.raises(ValueError):
+        phase_error_rate_after_oper(-1.0, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +271,7 @@ def test_run_zigzag_golden(golden_obs, golden_exp, golden_src, default_budget):
     assert z.M_bar_s == pytest.approx(245252.02674079326, rel=1e-12)
     assert z.n1_prime == 2513850
     assert z.e1ph_prime == pytest.approx(0.09756032648757614, rel=1e-12)
-    assert z.eps_s == pytest.approx(1.502e-10, rel=1e-12)
+    assert default_budget.eps_s == pytest.approx(1.502e-10, rel=1e-12)
 
 
 def test_run_zigzag_exact_mode_tightens(golden_obs, golden_exp, golden_src, default_budget):
