@@ -39,7 +39,7 @@ class UntaggedBounds:
     """Finite-key bounds on untagged events.
 
     s01_L, s10_L, s1_L   lower bounds on expected counting rates
-    n01_L, n10_L, n1_L   lower bounds on expected untagged counts
+    n01_L, n10_L         lower bounds on expected untagged counts
     e1ph_U               upper bound on the phase-flip error rate
     method               "A" (two Chernoff uses) or "B" (McDiarmid)
     """
@@ -49,10 +49,14 @@ class UntaggedBounds:
     s1_L: float
     n01_L: float
     n10_L: float
-    n1_L: float
     e1ph_U: float
     method: str
     flags: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def n1_L(self) -> float:
+        """Lower bound on the expected untagged count, n01_L + n10_L."""
+        return self.n01_L + self.n10_L
 
 
 def _rate_lower(n: float, size: float, xi: float) -> float:
@@ -117,14 +121,14 @@ def bound_s1(s01_L: float, s10_L: float, src: SourceParams) -> float:
 
 def bound_untagged_counts(
     s01_L: float, s10_L: float, exp: ExperimentalParams, src: SourceParams
-) -> tuple[float, float, float]:
-    """Expected-count lower bounds for untagged 0-bits, 1-bits and their sum."""
+) -> tuple[float, float]:
+    """Expected-count lower bounds for untagged 0-bits and 1-bits."""
     if s01_L < 0.0 or s10_L < 0.0:
         raise ValueError("rate bounds must be non-negative")
     base = exp.N * src.p_z * src.p_z_b
     n10 = base * src.eps * (1.0 - src.eps_b) * src.mu_z * math.exp(-src.mu_z) * s10_L
     n01 = base * src.eps_b * (1.0 - src.eps) * src.mu_z_b * math.exp(-src.mu_z_b) * s01_L
-    return n01, n10, n01 + n10
+    return n01, n10
 
 
 def _e1ph_from_numerator(numerator: float, s1_L: float, src: SourceParams) -> float:
@@ -191,7 +195,7 @@ def estimate_untagged(
     if s01 <= 0.0 or s10 <= 0.0:
         flags.append("vacuous-decoy-bound")
     s1 = bound_s1(s01, s10, src)
-    n01, n10, n1 = bound_untagged_counts(s01, s10, exp, src)
+    n01, n10 = bound_untagged_counts(s01, s10, exp, src)
     if s1 <= 0.0:
         flags.append("vacuous-untagged-rate")
         e1ph = 1.0
@@ -206,6 +210,5 @@ def estimate_untagged(
         flags.append("vacuous-phase-error")
     return UntaggedBounds(
         s01_L=s01, s10_L=s10, s1_L=s1,
-        n01_L=n01, n10_L=n10, n1_L=n1,
-        e1ph_U=e1ph, method=method, flags=tuple(flags),
+        n01_L=n01, n10_L=n10, e1ph_U=e1ph, method=method, flags=tuple(flags),
     )

@@ -11,6 +11,11 @@ Each optimization draws a seeded set of restart points, runs the simplex
 from each, and keeps the best evaluation ever made, which makes results
 deterministic per seed and independent of how restarts are scheduled.
 Each restart reports one compact record, not its evaluations.
+
+A restart whose whole initial simplex (dim + 1 objective calls, infeasible
+corners included) reads no positive rate stops there: on that flat
+plateau the simplex has no direction to descend and would only shrink to
+its tolerance.  Its record carries ``plateau=True`` and ``status == -1``.
 """
 
 from __future__ import annotations
@@ -90,9 +95,13 @@ class RestartRecord:
     start        starting point in the transformed search coordinates
     nfev         objective calls scipy counted, infeasible corners included
     evaluations  key-rate evaluations made (feasible points only)
-    status       scipy's exit status (0 converged, 1 evaluation cap, 2 iteration cap)
+    status       scipy's exit status (0 converged, 1 evaluation cap, 2 iteration
+                 cap), or -1 when the restart stopped before scipy finished
     rate         best rate the restart evaluated (0.0 if none was positive)
     params       source of that rate, or None
+    plateau      True when no point of the initial simplex had a positive
+                 rate, so the restart stopped after its dim + 1 calls with
+                 status -1, rate 0.0 and params None
     """
 
     start: tuple[float, ...]
@@ -101,6 +110,7 @@ class RestartRecord:
     status: int
     rate: float
     params: SourceParams | None
+    plateau: bool = False
 
 
 @dataclass(frozen=True)
@@ -238,6 +248,10 @@ def _better(rate: float, src: SourceParams, best_rate: float,
     )
 
 
+class _Plateau(Exception):
+    """Raised by the objective to end a restart whose initial simplex is flat at zero."""
+
+
 def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRecord:
     """One simplex descent, keeping only its running best."""
     from scipy.optimize import minimize  # deferred: import snskit skips scipy.optimize
@@ -246,12 +260,15 @@ def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRec
     budget = problem.security if problem.security is not None else security_budget()
     plob1, _ = plob_bounds(problem.exp.L_total, problem.exp.alpha_f, problem.exp.eta_d)
     scale = plob1 if plob1 > 0 else 1.0
-    evaluations = 0
+    calls = evaluations = 0
     best_src: SourceParams | None = None
     best_rate = 0.0
 
     def objective(t: np.ndarray) -> float:
-        nonlocal evaluations, best_src, best_rate
+        nonlocal calls, evaluations, best_src, best_rate
+        calls += 1
+        if calls == space.dim + 2 and best_rate == 0.0:
+            raise _Plateau  # the whole initial simplex read R = 0
         src = space.decode(t)
         if src is None:
             return 1.0  # infeasible corner; any rate beats it
@@ -266,15 +283,21 @@ def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRec
 
     x0 = np.asarray(start, dtype=float)
     simplex = np.vstack([x0] + [x0 + _SIMPLEX_STEP * e for e in np.eye(len(x0))])
-    res = minimize(
-        objective, x0, method="Nelder-Mead",
-        options={
-            "maxfev": problem.max_evals,
-            "xatol": _XATOL,
-            "fatol": 1e-10,
-            "initial_simplex": simplex,
-        },
-    )
+    try:
+        res = minimize(
+            objective, x0, method="Nelder-Mead",
+            options={
+                "maxfev": problem.max_evals,
+                "xatol": _XATOL,
+                "fatol": 1e-10,
+                "initial_simplex": simplex,
+            },
+        )
+    except _Plateau:
+        return RestartRecord(
+            start=tuple(start), nfev=space.dim + 1, evaluations=evaluations,
+            status=-1, rate=0.0, params=None, plateau=True,
+        )
     return RestartRecord(
         start=tuple(start), nfev=int(res.nfev), evaluations=evaluations,
         status=int(res.status), rate=best_rate, params=best_src,
@@ -304,13 +327,16 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     Deterministic per seed: the restart points are drawn from a seeded
     generator and the result is the best evaluation over all restarts, with
     ties broken toward the lexicographically smaller parameter vector.
-    SNSKIT_THREADS > 1 runs restarts in worker processes; the merged result
-    does not depend on the worker count.
+    SNSKIT_THREADS > 1 runs restarts in that many worker processes, but
+    never more than there are restarts; the merged result does not depend
+    on the worker count.
     """
     starts = _starts(problem)
     workers = _worker_count()
     if workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The fork start method forks every worker up front, so start no
+        # more than there are restarts.
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             records = tuple(pool.map(_run_restart, [problem] * len(starts), starts))
     else:
         records = tuple(_run_restart(problem, start) for start in starts)

@@ -70,7 +70,6 @@ class ZigzagResult:
     r           loosely-controlled remainder of the near-i.i.d. reduction
     M_bar       pre-pairing phase-error count bound
     e_tau       per-pair phase-error probability at tail level xi_tau
-    E_tau       surviving-pair error probability e_tau*(1-e_tau)
     M_bar_s     post-pairing phase-error count bound
     n1_prime    survived untagged-bit count lower bound
     e1ph_prime  post-pairing phase-flip error-rate upper bound; its failure
@@ -83,11 +82,15 @@ class ZigzagResult:
     r: float
     M_bar: int
     e_tau: float
-    E_tau: float
     M_bar_s: float
     n1_prime: int
     e1ph_prime: float
     flags: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def E_tau(self) -> float:
+        """Surviving-pair error probability e_tau*(1-e_tau)."""
+        return self.e_tau * (1.0 - self.e_tau)
 
 
 def _phi_lower(expected: float, xi: float) -> float:
@@ -160,11 +163,6 @@ def compute_r(n: int, k: int, eps_def: float) -> float:
     return (2.0 * n + k) / k * math.log(3.0 * k * k / eps_def)
 
 
-def reduction_failure(r: float, n: int, k: int) -> float:
-    """Trace-distance bound 3*k^2*exp(-r*k/(2n+k)) of the reduction."""
-    return 3.0 * k * k * math.exp(-r * k / (2.0 * n + k))
-
-
 def compute_M_bar(n: int, e1ph_U: float, budget: SecurityBudget) -> int:
     """Pre-pairing error-count bound over the 2n paired untagged bits.
 
@@ -177,10 +175,10 @@ def compute_M_bar(n: int, e1ph_U: float, budget: SecurityBudget) -> int:
 
 def compute_M_bar_s(
     n: int, r: float, M_bar: int, mode: str, budget: SecurityBudget
-) -> tuple[float, float, float, tuple[str, ...]]:
-    """Post-pairing error-count bound M_bar_s with its intermediates.
+) -> tuple[float, float, tuple[str, ...]]:
+    """Post-pairing error-count bound M_bar_s with its intermediate e_tau.
 
-    Returns (M_bar_s, e_tau, E_tau, flags).  e_tau above one half leaves the
+    Returns (M_bar_s, e_tau, flags).  e_tau above one half leaves the
     squaring step without force, so the bound is flagged vacuous there.
     In exact mode a tail level xi >= 1 replaces its inversion by the
     expectation, like every other fluctuation-free use.
@@ -193,31 +191,31 @@ def compute_M_bar_s(
     if mode == "approx":
         e_tau = (M_bar - _Q_TAU * math.sqrt(M_bar)) / (2.0 * n - r)
         if e_tau <= 0.0:
-            return r, 0.0, 0.0, ("zero-error-limit",)
+            return r, 0.0, ("zero-error-limit",)
         if e_tau > 0.5:
-            return float(2 * n), e_tau, e_tau * (1.0 - e_tau), ("vacuous-e-tau",)
+            return float(2 * n), e_tau, ("vacuous-e-tau",)
         big_e = e_tau * (1.0 - e_tau)
         mean_s = (n - r) * big_e
         m_bar_s = mean_s + _Q_TAU_TILDE * math.sqrt(mean_s) + r
-        return m_bar_s, e_tau, big_e, ()
+        return m_bar_s, e_tau, ()
     # Exact mode: conservative integer rounding of the trial counts (fewer
     # trials for the e_tau inversion, more for the M_bar_s inversion).
     trials_pre = math.floor(2.0 * n - r)
     if M_bar > trials_pre:
-        return float(2 * n), 1.0, 0.0, ("vacuous-e-tau",)
+        return float(2 * n), 1.0, ("vacuous-e-tau",)
     if budget.xi_tau >= 1.0:
         e_tau = M_bar / trials_pre
     else:
         e_tau = invert_tail_for_p(trials_pre, M_bar, budget.xi_tau)
     if e_tau > 0.5:
-        return float(2 * n), e_tau, e_tau * (1.0 - e_tau), ("vacuous-e-tau",)
+        return float(2 * n), e_tau, ("vacuous-e-tau",)
     big_e = e_tau * (1.0 - e_tau)
     trials_post = math.ceil(n - r)
     if budget.xi_tau_tilde >= 1.0:
         m_shift = trials_post * big_e
     else:
         m_shift = invert_tail_for_m(trials_post, big_e, budget.xi_tau_tilde)
-    return m_shift + r, e_tau, big_e, ()
+    return m_shift + r, e_tau, ()
 
 
 def compute_n1_prime(
@@ -259,7 +257,7 @@ def run_zigzag(
 
     def _dead(flags: tuple[str, ...]) -> ZigzagResult:
         return ZigzagResult(
-            u=0.0, n=0, k=0, r=0.0, M_bar=0, e_tau=0.0, E_tau=0.0,
+            u=0.0, n=0, k=0, r=0.0, M_bar=0, e_tau=0.0,
             M_bar_s=0.0, n1_prime=0, e1ph_prime=0.5, flags=flags,
         )
 
@@ -279,7 +277,7 @@ def run_zigzag(
     if r >= n:
         return _dead(flags + ("zigzag-vacuous",))
     m_bar = compute_M_bar(n, bounds.e1ph_U, budget)
-    m_bar_s, e_tau, big_e, ms_flags = compute_M_bar_s(n, r, m_bar, mode, budget)
+    m_bar_s, e_tau, ms_flags = compute_M_bar_s(n, r, m_bar, mode, budget)
     flags = flags + ms_flags
     n1_prime = compute_n1_prime(bounds.n01_L, bounds.n10_L, obs.n_t, u, budget)
     if n1_prime <= 0:
@@ -288,6 +286,6 @@ def run_zigzag(
     if "vacuous-e-tau" in flags:
         e1ph_prime = max(e1ph_prime, 0.5)
     return ZigzagResult(
-        u=u, n=n, k=k, r=r, M_bar=m_bar, e_tau=e_tau, E_tau=big_e,
+        u=u, n=n, k=k, r=r, M_bar=m_bar, e_tau=e_tau,
         M_bar_s=m_bar_s, n1_prime=n1_prime, e1ph_prime=e1ph_prime, flags=flags,
     )

@@ -187,7 +187,8 @@ def test_criterion_7_property_suites():
 
     # Exact-mode tail bracketing is strict.
     n, r, m_bar = 10**6, 9940.0, 10**4
-    m_s, _, big_e, _ = compute_M_bar_s(n, r, m_bar, "exact", security_budget())
+    m_s, e_tau, _ = compute_M_bar_s(n, r, m_bar, "exact", security_budget())
+    big_e = e_tau * (1.0 - e_tau)
     shift = round(m_s - r)
     trials = math.ceil(n - r)
     bracket_ok = (

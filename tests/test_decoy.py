@@ -134,17 +134,15 @@ def test_untagged_counts_reference_value():
     src = replace(
         SourceParams.symmetric(p_z=0.5, eps=0.1, p0=0.3, p1=0.3, mu1=0.1, mu2=0.3, mu_z=0.5),
     )
-    n01, n10, n1 = bound_untagged_counts(0.0, 1e-5, exp, src)
+    n01, n10 = bound_untagged_counts(0.0, 1e-5, exp, src)
     assert n01 == 0.0
     assert n10 == pytest.approx(1e12 * 0.25 * 0.09 * 0.5 * math.exp(-0.5) * 1e-5, rel=1e-12)
     assert n10 == pytest.approx(6.823e4, rel=1e-3)
-    assert n1 == n10
 
 
 def test_untagged_counts_symmetric_equality(golden_exp, golden_src):
-    n01, n10, n1 = bound_untagged_counts(2e-4, 2e-4, golden_exp, golden_src)
+    n01, n10 = bound_untagged_counts(2e-4, 2e-4, golden_exp, golden_src)
     assert n01 == n10
-    assert n1 == n01 + n10
 
 
 # ---------------------------------------------------------------------------

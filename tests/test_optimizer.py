@@ -8,6 +8,7 @@ from snskit import optimizer
 from snskit.channel import SourceParams
 from snskit.keyrate import evaluate
 from snskit.optimizer import OptimizationProblem, _better, _Space, optimize, scan
+from snskit.tables import TABLE2_EXP
 from tests.conftest import GOLDEN_SRC, table1_exp
 
 
@@ -95,21 +96,61 @@ def test_optimize_best_dominates_every_evaluation(monkeypatch):
 
 
 def test_optimize_records_running_best_per_restart(monkeypatch):
-    out, probes = _recorded_optimize(monkeypatch, _small_problem())
+    problem = _small_problem()
+    dim = _Space(problem).dim
+    out, probes = _recorded_optimize(monkeypatch, problem)
     assert len(out.restarts) == 2
+    # The warm start's simplex holds a positive rate, so it is never
+    # flagged; the seed-11 restart starts on the plateau.
+    assert [rec.plateau for rec in out.restarts] == [False, True]
+    assert out.restarts[0].rate > 0.0
     first = 0
     for rec in out.restarts:
         mine = probes[first:first + rec.evaluations]
         first += rec.evaluations
         assert rec.nfev >= rec.evaluations  # infeasible corners count only for scipy
-        assert rec.status in (0, 1)
         assert rec.rate == max(r for _, r in mine)
-        if rec.params is None:  # a restart on the zero-rate plateau
-            assert rec.rate == 0.0
+        if rec.plateau:  # stopped after its flat initial simplex
+            assert rec.status == -1
+            assert rec.nfev == dim + 1
+            assert rec.evaluations <= dim + 1
+            assert rec.rate == 0.0 and rec.params is None
         else:
+            assert rec.status in (0, 1)
             assert (rec.params, rec.rate) in mine
     assert first == len(probes) == out.evaluations
     assert out.rate == max(rec.rate for rec in out.restarts) > 0.0
+
+
+def test_cold_method_b_at_440km_stops_every_restart_on_the_plateau(monkeypatch):
+    monkeypatch.setenv("SNSKIT_THREADS", "1")
+    out = optimize(OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), method="B", seed=1))
+    assert out.flags == ("zero-rate-box",)
+    assert out.params is None and out.rate == 0.0
+    assert len(out.restarts) == 8
+    for rec in out.restarts:
+        assert rec.plateau and rec.status == -1
+        assert rec.nfev == 8 and rec.evaluations == 8
+        assert rec.params is None and rec.rate == 0.0
+    assert out.evaluations == 64
+
+
+def test_cold_method_a_at_440km_keeps_its_rate(monkeypatch):
+    monkeypatch.setenv("SNSKIT_THREADS", "1")
+    out = optimize(OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), method="A", seed=1))
+    assert out.rate == 2.5243461710357386e-08  # frozen from before the plateau stop
+    assert out.flags == ()
+    assert not out.restarts[0].plateau
+    assert sum(rec.plateau for rec in out.restarts) == 7
+
+
+def test_plateau_stop_needs_a_call_past_the_initial_simplex(monkeypatch):
+    # With the cap at dim + 1 calls scipy stops first, so nothing is flagged.
+    monkeypatch.setenv("SNSKIT_THREADS", "1")
+    dim = _Space(_small_problem()).dim
+    flat = optimize(_small_problem(max_evals=dim + 1)).restarts[1]
+    assert not flat.plateau
+    assert (flat.status, flat.nfev, flat.rate, flat.params) == (1, dim + 1, 0.0, None)
 
 
 # Tie-break order the optimizer's frozen results rest on: every first-party
@@ -212,6 +253,34 @@ def test_worker_count_does_not_change_result(monkeypatch):
     parallel = optimize(_small_problem(restarts=2, max_evals=60))
     assert serial.rate == parallel.rate
     assert serial.restarts == parallel.restarts
+    # The comparison covers a plateau record made in a worker process.
+    assert [rec.plateau for rec in parallel.restarts] == [False, True]
+
+
+@pytest.mark.parametrize("threads, restarts, want", [("32", 3, 3), ("2", 3, 2)])
+def test_worker_pool_is_no_larger_than_the_restart_count(monkeypatch, threads, restarts, want):
+    sizes: list[int] = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("SNSKIT_THREADS", threads)
+    out = optimize(_small_problem(restarts=restarts, max_evals=20))
+    assert sizes == [want]
+    assert len(out.restarts) == restarts
 
 
 def test_import_loads_no_scipy():

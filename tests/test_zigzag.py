@@ -11,7 +11,6 @@ from snskit.zigzag import (
     compute_pair_counts,
     compute_r,
     phase_error_rate_after_oper,
-    reduction_failure,
     run_zigzag,
     u_factor,
 )
@@ -80,6 +79,11 @@ def test_pair_counts_validation():
 # Near-i.i.d. remainder
 
 
+def reduction_failure(r: float, n: int, k: int) -> float:
+    """Trace-distance bound 3*k^2*exp(-r*k/(2n+k)) of the reduction: compute_r's inverse."""
+    return 3.0 * k * k * math.exp(-r * k / (2.0 * n + k))
+
+
 def test_r_round_trip_substitution():
     for n, k, eps in [(10**6, 10**4, 1e-13), (5_034_103, 13_657_395, 1e-13), (10**8, 10**5, 1e-10)]:
         r = compute_r(n, k, eps)
@@ -123,12 +127,12 @@ def test_M_bar_monotone():
 
 def test_M_bar_s_closed_form_reference():
     n, r, m_bar = 10**6, 10**4, 10**4
-    m_s, e_tau, big_e, flags = compute_M_bar_s(n, r, m_bar, "approx", BUDGET)
+    m_s, e_tau, flags = compute_M_bar_s(n, r, m_bar, "approx", BUDGET)
     assert flags == ()
     want_e = (m_bar - 2.33 * math.sqrt(m_bar)) / (2 * n - r)
     assert e_tau == pytest.approx(want_e, rel=1e-12)
     assert e_tau == pytest.approx(4.908e-3, rel=1e-3)
-    assert big_e == e_tau * (1.0 - e_tau)  # exact identity
+    big_e = e_tau * (1.0 - e_tau)
     assert big_e == pytest.approx(4.884e-3, rel=1e-3)
     mean = (n - r) * big_e
     assert m_s == pytest.approx(mean + 6.36 * math.sqrt(mean) + r, rel=1e-12)
@@ -137,21 +141,22 @@ def test_M_bar_s_closed_form_reference():
 
 def test_M_bar_s_zero_error_floor():
     # M_bar too small to clear the Gaussian term: no errors attributable.
-    m_s, e_tau, big_e, flags = compute_M_bar_s(10**6, 100.0, 5, "approx", BUDGET)
-    assert (m_s, e_tau, big_e) == (100.0, 0.0, 0.0)
+    m_s, e_tau, flags = compute_M_bar_s(10**6, 100.0, 5, "approx", BUDGET)
+    assert (m_s, e_tau) == (100.0, 0.0)
     assert flags == ("zero-error-limit",)
 
 
 def test_M_bar_s_vacuous_above_half():
-    m_s, e_tau, _, flags = compute_M_bar_s(1000, 10.0, 1500, "approx", BUDGET)
+    m_s, e_tau, flags = compute_M_bar_s(1000, 10.0, 1500, "approx", BUDGET)
     assert e_tau > 0.5
     assert "vacuous-e-tau" in flags
 
 
 def test_M_bar_s_exact_mode_bracketing():
     n, r, m_bar = 10**6, 9940.0, 10**4
-    m_s, e_tau, big_e, flags = compute_M_bar_s(n, r, m_bar, "exact", BUDGET)
+    m_s, e_tau, flags = compute_M_bar_s(n, r, m_bar, "exact", BUDGET)
     assert flags == ()
+    big_e = e_tau * (1.0 - e_tau)
     # e_tau solves the pre-pairing tail equation at level xi_tau.
     trials_pre = math.floor(2 * n - r)
     assert binomial_tail(TailQuery(trials_pre, e_tau, m_bar)) == pytest.approx(1e-2, rel=1e-8)
@@ -175,10 +180,10 @@ def test_M_bar_s_exact_fluctuation_free_pre_pairing_level():
     # xi_tau = 1 takes the expectation: e_tau = M_bar / trials_pre.
     n, r, m_bar = 10**6, 9940.0, 10**4
     free = security_budget(xi_tau=1.0)
-    m_s, e_tau, big_e, flags = compute_M_bar_s(n, r, m_bar, "exact", free)
+    m_s, e_tau, flags = compute_M_bar_s(n, r, m_bar, "exact", free)
     assert flags == ()
     assert e_tau == m_bar / math.floor(2 * n - r)
-    assert big_e == e_tau * (1.0 - e_tau)
+    big_e = e_tau * (1.0 - e_tau)
     # The survived-count inversion still runs at the default level.
     shift = round(m_s - r)
     assert binomial_tail(TailQuery(math.ceil(n - r), big_e, shift)) <= 1e-10
@@ -188,13 +193,13 @@ def test_M_bar_s_exact_fluctuation_free_pre_pairing_level():
 def test_M_bar_s_exact_fluctuation_free_survived_level():
     # xi_tau_tilde = 1 takes the expectation: M_bar_s = trials_post * E_tau + r.
     n, r, m_bar = 10**6, 9940.0, 10**4
-    m_s, e_tau, big_e, flags = compute_M_bar_s(
+    m_s, e_tau, flags = compute_M_bar_s(
         n, r, m_bar, "exact", security_budget(xi_tau_tilde=1.0)
     )
-    _, e_tau_default, _, _ = compute_M_bar_s(n, r, m_bar, "exact", BUDGET)
+    _, e_tau_default, _ = compute_M_bar_s(n, r, m_bar, "exact", BUDGET)
     assert flags == ()
     assert e_tau == e_tau_default
-    assert m_s == math.ceil(n - r) * big_e + r
+    assert m_s == math.ceil(n - r) * (e_tau * (1.0 - e_tau)) + r
 
 
 @pytest.mark.parametrize("override", [{"xi_tau": 1e-4}, {"xi_tau_tilde": 1e-12}, {"xi_tau": 1.0}])
@@ -274,6 +279,33 @@ def test_run_zigzag_golden(golden_obs, golden_exp, golden_src, default_budget):
     assert default_budget.eps_s == pytest.approx(1.502e-10, rel=1e-12)
 
 
+def test_run_zigzag_reads_untagged_sum_from_its_parts(
+    golden_obs, golden_exp, golden_src, default_budget
+):
+    from dataclasses import replace
+
+    from snskit.decoy import estimate_untagged
+
+    # n1_L is derived from n01_L + n10_L, so a record changed with replace
+    # feeds the pair counts and n1_prime the same untagged total.
+    bounds = estimate_untagged(golden_obs, golden_exp, golden_src, default_budget, "A")
+    halved = replace(bounds, n01_L=bounds.n01_L / 2)
+    assert halved.n1_L == halved.n01_L + halved.n10_L
+    z = run_zigzag(halved, golden_obs, default_budget, "approx")
+    assert z.n == 2828784
+    assert z.e1ph_prime == pytest.approx(0.11059809410712715, rel=1e-12, abs=0.0)
+
+
+def test_zigzag_result_E_tau_follows_e_tau(golden_obs, golden_exp, golden_src, default_budget):
+    from dataclasses import replace
+
+    from snskit.decoy import estimate_untagged
+
+    bounds = estimate_untagged(golden_obs, golden_exp, golden_src, default_budget, "A")
+    z = replace(run_zigzag(bounds, golden_obs, default_budget, "approx"), e_tau=0.1)
+    assert z.E_tau == 0.1 * (1.0 - 0.1)
+
+
 def test_run_zigzag_exact_mode_tightens(golden_obs, golden_exp, golden_src, default_budget):
     from snskit.decoy import estimate_untagged
 
@@ -290,7 +322,7 @@ def test_run_zigzag_approx_rejects_other_tail_levels_before_short_circuit(golden
     # Even a dead chain, which never reaches the quantiles, reports the
     # budget it cannot honour instead of a ledger that does not hold.
     empty = UntaggedBounds(
-        s01_L=0.0, s10_L=0.0, s1_L=0.0, n01_L=0.0, n10_L=0.0, n1_L=0.0,
+        s01_L=0.0, s10_L=0.0, s1_L=0.0, n01_L=0.0, n10_L=0.0,
         e1ph_U=1.0, method="A", flags=("vacuous-decoy-bound",),
     )
     with pytest.raises(ValueError, match='mode="exact"'):
@@ -301,7 +333,7 @@ def test_run_zigzag_dead_branch(golden_obs, default_budget):
     from snskit.decoy import UntaggedBounds
 
     empty = UntaggedBounds(
-        s01_L=0.0, s10_L=0.0, s1_L=0.0, n01_L=0.0, n10_L=0.0, n1_L=0.0,
+        s01_L=0.0, s10_L=0.0, s1_L=0.0, n01_L=0.0, n10_L=0.0,
         e1ph_U=1.0, method="A", flags=("vacuous-decoy-bound",),
     )
     z = run_zigzag(empty, golden_obs, default_budget, "approx")
