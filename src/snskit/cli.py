@@ -11,8 +11,9 @@ Commands
 
 Exit codes: 0 success, 2 configuration error, 3 evaluation produced a zero
 rate (the report is still printed), 4 output I/O error.  The environment
-variable SNSKIT_THREADS caps optimizer worker processes; results do not
-depend on its value.
+variable SNSKIT_THREADS is the number of optimizer worker processes, capped
+at the restart count; results do not depend on its value, and one that is
+not a positive integer is a configuration error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from dataclasses import fields
 
 from .channel import SourceParams
-from .config import ConfigError, RunConfig, parse_config
+from .config import RunConfig, parse_config
 from .keyrate import KeyRateReport, evaluate, plob_bounds
 from .optimizer import OptimizationProblem, optimize, scan
 from .tables import TABLE2_PLOB_REFERENCE, compute_table2, compute_table3, format_rows
@@ -224,17 +225,13 @@ def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "plob":
         return cmd_plob(args.alpha_f, args.eta_d, args.distances)
-    if args.command == "tables":
-        return cmd_tables(args.seed, args.restarts, args.max_evals)
     try:
+        if args.command == "tables":
+            return cmd_tables(args.seed, args.restarts, args.max_evals)
         cfg = parse_config(args.config, overrides=args.set)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    method = args.method or cfg.method
-    zigzag = args.mode or cfg.zigzag
-    seed = args.seed if args.seed is not None else cfg.seed
-    try:
+        method = args.method or cfg.method
+        zigzag = args.mode or cfg.zigzag
+        seed = args.seed if args.seed is not None else cfg.seed
         if args.command == "rate":
             return cmd_rate(cfg, method, zigzag, seed)
         if args.command == "optimize":
@@ -242,7 +239,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.command == "scan":
             out_path = args.out if args.out is not None else cfg.out
             return cmd_scan(cfg, zigzag, seed, out_path)
-    except ValueError as err:
+    except ValueError as err:  # ConfigError included
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command!r}")

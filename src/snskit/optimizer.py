@@ -12,10 +12,15 @@ from each, and keeps the best evaluation ever made, which makes results
 deterministic per seed and independent of how restarts are scheduled.
 Each restart reports one compact record, not its evaluations.
 
-A restart whose whole initial simplex (dim + 1 objective calls, infeasible
-corners included) reads no positive rate stops there: on that flat
-plateau the simplex has no direction to descend and would only shrink to
-its tolerance.  Its record carries ``plateau=True`` and ``status == -1``.
+The simplex minimizes ``-ln R``.  It only compares objective values, so
+any strictly decreasing transform of R makes the same moves; this one makes
+the stop scale-free: a restart stops once the rates at its vertices agree
+to ``_RTOL`` (1e-5) relative, with no tolerance on position.
+R = 0 and infeasible asymmetric corners share one value above every
+positive rate's.  So a restart whose whole initial simplex (dim + 1
+objective calls, infeasible corners included) reads no positive rate meets
+the stop right there: on that flat plateau the simplex has no direction to
+descend.  Its record carries ``plateau=True`` and ``status == -1``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,10 @@ __all__ = [
 ]
 
 _SIMPLEX_STEP = 0.25  # initial simplex edge in transformed coordinates
-_XATOL = 1e-6  # simplex diameter at which a restart stops
+_RTOL = 1e-5  # relative spread of the simplex's rates at which a restart stops
+# Objective of R = 0 and of infeasible corners: above -ln R of any positive
+# double (at most 745), so every positive rate ranks above them.
+_NO_RATE = 1e3
 
 # A mid-band starting point that lands in the positive-rate basin across the
 # distances of interest; restarts explore around it.
@@ -59,7 +67,8 @@ class OptimizationProblem:
                  them, minus the constraint-eliminated mu1_b
     method       phase-error estimator passed through to the evaluation
     zigzag_mode  "approx" or "exact" pairing-stage accounting
-    max_evals    evaluation cap per restart
+    max_evals    cap on objective calls per restart (scipy's maxfev),
+                 infeasible corners included
     x0           optional warm-start source vector
     """
 
@@ -95,13 +104,14 @@ class RestartRecord:
     start        starting point in the transformed search coordinates
     nfev         objective calls scipy counted, infeasible corners included
     evaluations  key-rate evaluations made (feasible points only)
-    status       scipy's exit status (0 converged, 1 evaluation cap, 2 iteration
-                 cap), or -1 when the restart stopped before scipy finished
+    status       scipy's exit status (0 converged: the rates at all vertices
+                 agree to 1e-5 relative, 1 evaluation cap, 2 iteration cap),
+                 or -1 on a plateau record
     rate         best rate the restart evaluated (0.0 if none was positive)
     params       source of that rate, or None
     plateau      True when no point of the initial simplex had a positive
-                 rate, so the restart stopped after its dim + 1 calls with
-                 status -1, rate 0.0 and params None
+                 rate: the flat simplex met the stop after its dim + 1 calls,
+                 and the record has status -1, rate 0.0 and params None
     """
 
     start: tuple[float, ...]
@@ -248,30 +258,21 @@ def _better(rate: float, src: SourceParams, best_rate: float,
     )
 
 
-class _Plateau(Exception):
-    """Raised by the objective to end a restart whose initial simplex is flat at zero."""
-
-
 def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRecord:
-    """One simplex descent, keeping only its running best."""
+    """One simplex descent on -ln R, keeping only its running best."""
     from scipy.optimize import minimize  # deferred: import snskit skips scipy.optimize
 
     space = _Space(problem)
     budget = problem.security if problem.security is not None else security_budget()
-    plob1, _ = plob_bounds(problem.exp.L_total, problem.exp.alpha_f, problem.exp.eta_d)
-    scale = plob1 if plob1 > 0 else 1.0
-    calls = evaluations = 0
+    evaluations = 0
     best_src: SourceParams | None = None
     best_rate = 0.0
 
     def objective(t: np.ndarray) -> float:
-        nonlocal calls, evaluations, best_src, best_rate
-        calls += 1
-        if calls == space.dim + 2 and best_rate == 0.0:
-            raise _Plateau  # the whole initial simplex read R = 0
+        nonlocal evaluations, best_src, best_rate
         src = space.decode(t)
         if src is None:
-            return 1.0  # infeasible corner; any rate beats it
+            return _NO_RATE  # infeasible corner
         rate = evaluate(
             problem.exp, src, method=problem.method,
             mode=problem.zigzag_mode, budget=budget,
@@ -279,28 +280,25 @@ def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRec
         evaluations += 1
         if _better(rate, src, best_rate, best_src):
             best_src, best_rate = src, rate
-        return -rate / scale
+        return -math.log(rate) if rate > 0.0 else _NO_RATE
 
     x0 = np.asarray(start, dtype=float)
     simplex = np.vstack([x0] + [x0 + _SIMPLEX_STEP * e for e in np.eye(len(x0))])
-    try:
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={
-                "maxfev": problem.max_evals,
-                "xatol": _XATOL,
-                "fatol": 1e-10,
-                "initial_simplex": simplex,
-            },
-        )
-    except _Plateau:
-        return RestartRecord(
-            start=tuple(start), nfev=space.dim + 1, evaluations=evaluations,
-            status=-1, rate=0.0, params=None, plateau=True,
-        )
+    res = minimize(
+        objective, x0, method="Nelder-Mead",
+        options={
+            "maxfev": problem.max_evals,
+            "xatol": math.inf,
+            "fatol": _RTOL,
+            "initial_simplex": simplex,
+        },
+    )
+    # Converged without a positive rate: the flat initial simplex met the stop.
+    plateau = best_src is None and res.status == 0
     return RestartRecord(
         start=tuple(start), nfev=int(res.nfev), evaluations=evaluations,
-        status=int(res.status), rate=best_rate, params=best_src,
+        status=-1 if plateau else int(res.status), rate=best_rate, params=best_src,
+        plateau=plateau,
     )
 
 
@@ -316,9 +314,12 @@ def _starts(problem: OptimizationProblem) -> list[list[float]]:
 def _worker_count() -> int:
     raw = os.environ.get("SNSKIT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SNSKIT_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def optimize(problem: OptimizationProblem) -> OptimizeResult:
@@ -327,9 +328,10 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     Deterministic per seed: the restart points are drawn from a seeded
     generator and the result is the best evaluation over all restarts, with
     ties broken toward the lexicographically smaller parameter vector.
-    SNSKIT_THREADS > 1 runs restarts in that many worker processes, but
-    never more than there are restarts; the merged result does not depend
-    on the worker count.
+    SNSKIT_THREADS is the number of worker processes that run the restarts,
+    capped at the restart count; 1 (the default) runs them in this process.
+    The merged result does not depend on it.  A value that is not a positive
+    integer raises ValueError before any restart runs.
     """
     starts = _starts(problem)
     workers = _worker_count()

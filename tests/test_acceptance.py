@@ -101,6 +101,33 @@ def test_criterion_4_published_hardware_rates(table3):
     )
 
 
+# Seed-1 Table II/III rates (9 significant digits), frozen from the `tables`
+# fingerprint at commit a97b1c3. A search change that gives up more than
+# 0.5 % of any of them loses quality the 15 % table bounds would not show.
+FROZEN_SEED1_RATES = {
+    (250.0, "A"): 9.48861414e-06, (250.0, "B"): 1.01342441e-05,
+    (390.0, "A"): 2.00937593e-07, (390.0, "B"): 2.32991985e-07,
+    (420.0, "A"): 6.73955406e-08, (420.0, "B"): 8.00616554e-08,
+    (440.0, "A"): 2.53089752e-08, (440.0, "B"): 3.16306122e-08,
+    (402.0, "A"): 9.89521588e-08, (402.0, "B"): 1.06449554e-07,
+    (502.0, "A"): 4.77365779e-08, (502.0, "B"): 5.33380689e-08,
+}
+
+
+def test_optimized_rates_hold_against_frozen_seed1_rates(table2, table3):
+    rows = table2[0] + table3[0]
+    ratios = {}
+    for row in rows:
+        ratios[(row.L_total, "A")] = row.rate_a / FROZEN_SEED1_RATES[(row.L_total, "A")]
+        ratios[(row.L_total, "B")] = row.rate_b / FROZEN_SEED1_RATES[(row.L_total, "B")]
+    worst = min(ratios, key=ratios.get)
+    _report(
+        "optimizer quality (every seed-1 table rate >= 0.995 of its frozen value)",
+        ratios.keys() == FROZEN_SEED1_RATES.keys() and ratios[worst] >= 0.995,
+        f"lowest {ratios[worst]:.5f} at {worst[1]}@{worst[0]:.0f}km",
+    )
+
+
 def test_criterion_5_method_b_uplift_n11():
     grid = [250.0, 300.0, 350.0, 400.0]
     exp = table1_exp(250.0, N=1e11)

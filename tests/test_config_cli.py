@@ -212,6 +212,17 @@ def test_cli_tables_command_small_budget():
     assert cp.stdout.count("Benchmark rates") == 2
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_cli_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("SNSKIT_THREADS", raw)
+    path = _write(tmp_path, BASE_CONFIG.replace("src.", "# src."))  # optimizes first
+    for argv in (["tables"], ["optimize", "--config", path], ["rate", "--config", path],
+                 ["scan", "--config", path]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: SNSKIT_THREADS") and repr(raw) in err
+
+
 def test_cli_scan_deterministic_and_refeedable(tmp_path):
     path = _write(tmp_path, BASE_CONFIG)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

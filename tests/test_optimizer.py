@@ -153,6 +153,75 @@ def test_plateau_stop_needs_a_call_past_the_initial_simplex(monkeypatch):
     assert (flat.status, flat.nfev, flat.rate, flat.params) == (1, dim + 1, 0.0, None)
 
 
+def test_relative_stop_cuts_the_tight_run_short(monkeypatch):
+    # -ln R leaves every simplex move as it was, so the default stop only
+    # ends the same sequence of evaluations earlier than a tight one.
+    problem = _small_problem(restarts=1, max_evals=1000)
+    default, probes = _recorded_optimize(monkeypatch, problem)
+    monkeypatch.setattr(optimizer, "_RTOL", 1e-12)
+    tight, tight_probes = _recorded_optimize(monkeypatch, problem)
+    assert default.restarts[0].status == 0
+    assert len(probes) < len(tight_probes)
+    assert tight_probes[:len(probes)] == probes
+    assert default.rate == max(r for _, r in probes) > 0.0
+
+
+def test_objective_ranks_every_positive_rate_above_zero_and_infeasible(monkeypatch):
+    import numpy as np
+    import scipy.optimize
+    from types import SimpleNamespace
+
+    objectives = []
+    real_minimize = scipy.optimize.minimize
+
+    def capturing(fun, x0, **kwargs):
+        objectives.append(fun)
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", capturing)
+    problem = _small_problem(mode="asymmetric", restarts=1, max_evals=20)
+    _recorded_optimize(monkeypatch, problem)
+    objective, = objectives
+
+    space = _Space(problem)
+    rng = np.random.default_rng(0)
+    points = (rng.uniform(-6, 6, size=space.dim) for _ in range(1000))
+    infeasible = next(t for t in points if space.decode(t) is None)
+    feasible = np.asarray(space.encode(problem.x0))
+
+    def value_at(rate: float) -> float:
+        monkeypatch.setattr(optimizer, "evaluate", lambda *a, **k: SimpleNamespace(R=rate))
+        return objective(feasible)
+
+    floor = value_at(0.0)
+    assert objective(infeasible) == floor
+    rates = [5e-324, 1e-300, 1e-12, 2.65e-6, 1.0]
+    values = [value_at(r) for r in rates]
+    assert all(v < floor for v in values)
+    assert all(a > b for a, b in zip(values, values[1:]))  # a higher rate ranks higher
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_worker_count_is_rejected_before_any_restart(monkeypatch, raw):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(optimizer, "_run_restart", no_pool)
+    monkeypatch.setenv("SNSKIT_THREADS", raw)
+    with pytest.raises(ValueError, match=f"SNSKIT_THREADS .* got '{raw}'"):
+        optimize(_small_problem())
+
+
+@pytest.mark.parametrize("raw, want", [(None, 1), ("1", 1), ("2", 2)])
+def test_worker_count_reads_positive_integers(monkeypatch, raw, want):
+    if raw is None:
+        monkeypatch.delenv("SNSKIT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SNSKIT_THREADS", raw)
+    assert optimizer._worker_count() == want
+
+
 # Tie-break order the optimizer's frozen results rest on: every first-party
 # field, then every second-party field.
 _TIE_BREAK_FIELDS = (
