@@ -1,11 +1,12 @@
 """Derivative-free search for the source parameters that maximize the rate.
 
-The search runs a reflection/expansion/contraction simplex in a transformed
-space: probabilities move along a logit-mapped box, intensities along a
-log-mapped box, and the two ordering constraints (p0 + p1 <= 1, mu1 < mu2)
-hold by construction because p1 and mu1 are parameterized as fractions of
-their headroom.  In asymmetric mode the second party's mu1 is eliminated
-through the source constraint, so every probed point satisfies it exactly.
+The search runs a Nelder-Mead simplex (Nelder & Mead, Comput. J. 7, 308
+(1965)) in a transformed space: probabilities move along a logit-mapped
+box, intensities along a log-mapped box, and the two ordering constraints
+(p0 + p1 <= 1, mu1 < mu2) hold by construction because p1 and mu1 are
+parameterized as fractions of their headroom.  In asymmetric mode the
+second party's mu1 is eliminated through the source constraint, so every
+probed point satisfies it exactly.
 
 Each optimization draws a seeded set of restart points, runs the simplex
 from each, and keeps the best evaluation ever made, which makes results
@@ -21,6 +22,10 @@ positive rate's.  So a restart whose whole initial simplex (dim + 1
 objective calls, infeasible corners included) reads no positive rate meets
 the stop right there: on that flat plateau the simplex has no direction to
 descend.  Its record carries ``plateau=True`` and ``status == -1``.
+
+The simplex is a small in-package loop on lists of floats that makes
+exactly the moves of scipy's ``minimize(method="Nelder-Mead")``, so
+``import snskit`` and every optimization run without ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ class OptimizationProblem:
                  them, minus the constraint-eliminated mu1_b
     method       phase-error estimator passed through to the evaluation
     zigzag_mode  "approx" or "exact" pairing-stage accounting
-    max_evals    cap on objective calls per restart (scipy's maxfev),
-                 infeasible corners included
+    max_evals    cap on objective calls per restart, infeasible corners
+                 included
     x0           optional warm-start source vector
     """
 
@@ -102,11 +107,11 @@ class RestartRecord:
     """What one simplex restart did.
 
     start        starting point in the transformed search coordinates
-    nfev         objective calls scipy counted, infeasible corners included
+    nfev         objective calls the simplex made, infeasible corners
+                 included
     evaluations  key-rate evaluations made (feasible points only)
-    status       scipy's exit status (0 converged: the rates at all vertices
-                 agree to 1e-5 relative, 1 evaluation cap, 2 iteration cap),
-                 or -1 on a plateau record
+    status       0 converged (the rates at all vertices agree to 1e-5
+                 relative), 1 evaluation cap, or -1 on a plateau record
     rate         best rate the restart evaluated (0.0 if none was positive)
     params       source of that rate, or None
     plateau      True when no point of the initial simplex had a positive
@@ -258,17 +263,96 @@ def _better(rate: float, src: SourceParams, best_rate: float,
     )
 
 
+class _Capped(Exception):
+    """The simplex asked for an objective call beyond its cap."""
+
+
+def _nelder_mead(objective, simplex: "list[list[float]]", max_evals: int,
+                 fatol: float) -> tuple[int, int]:
+    """Minimize ``objective`` from ``simplex`` (dim + 1 vertices of floats).
+
+    Makes scipy's Nelder-Mead moves (``_minimize_neldermead``, default
+    coefficients: reflect 1, expand 2, contract 1/2, shrink 1/2) in the same
+    floating-point operation order and with the same argsort calls, so it
+    evaluates the same points bit for bit.  Stops when the objective values
+    at all vertices agree to ``fatol`` (status 0), or at the ``max_evals``-th
+    call (status 1), abandoning a step the cap cuts short.  Returns
+    (objective calls, status).
+    """
+    n = len(simplex) - 1
+    sim = list(simplex)  # steps replace vertices, never edit one in place
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def f(x: "list[float]") -> float:
+        nonlocal nfev
+        if nfev >= max_evals:
+            raise _Capped
+        nfev += 1
+        return objective(x)
+
+    def sort() -> None:
+        # numpy's default argsort is unstable: it decides the order of tied
+        # vertices, so this sorts exactly when and how scipy does.
+        order = np.argsort(fsim)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Capped:
+        pass
+    sort()
+    sort()  # scipy sorts the initial simplex twice
+    while nfev < max_evals:
+        if max(abs(fsim[0] - fi) for fi in fsim[1:]) <= fatol:
+            break
+        try:
+            c = sim[0]
+            for v in sim[1:n]:  # summed left to right; sum() would compensate
+                c = [a + b for a, b in zip(c, v)]
+            c = [a / n for a in c]
+            w = sim[-1]
+            xr = [2.0 * a - b for a, b in zip(c, w)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3.0 * a - 2.0 * b for a, b in zip(c, w)]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = [1.5 * a - 0.5 * b for a, b in zip(c, w)]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = [0.5 * a + 0.5 * b for a, b in zip(c, w)]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    v0 = sim[0]
+                    for j in range(1, n + 1):
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(v0, sim[j])]
+                        fsim[j] = f(sim[j])
+        except _Capped:
+            pass
+        sort()
+    return nfev, int(nfev >= max_evals)
+
+
 def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRecord:
     """One simplex descent on -ln R, keeping only its running best."""
-    from scipy.optimize import minimize  # deferred: import snskit skips scipy.optimize
-
     space = _Space(problem)
     budget = problem.security if problem.security is not None else security_budget()
     evaluations = 0
     best_src: SourceParams | None = None
     best_rate = 0.0
 
-    def objective(t: np.ndarray) -> float:
+    def objective(t: "list[float]") -> float:
         nonlocal evaluations, best_src, best_rate
         src = space.decode(t)
         if src is None:
@@ -282,22 +366,17 @@ def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRec
             best_src, best_rate = src, rate
         return -math.log(rate) if rate > 0.0 else _NO_RATE
 
-    x0 = np.asarray(start, dtype=float)
-    simplex = np.vstack([x0] + [x0 + _SIMPLEX_STEP * e for e in np.eye(len(x0))])
-    res = minimize(
-        objective, x0, method="Nelder-Mead",
-        options={
-            "maxfev": problem.max_evals,
-            "xatol": math.inf,
-            "fatol": _RTOL,
-            "initial_simplex": simplex,
-        },
-    )
+    simplex = [list(start)]
+    for k in range(len(start)):
+        vertex = list(start)
+        vertex[k] += _SIMPLEX_STEP
+        simplex.append(vertex)
+    nfev, status = _nelder_mead(objective, simplex, problem.max_evals, _RTOL)
     # Converged without a positive rate: the flat initial simplex met the stop.
-    plateau = best_src is None and res.status == 0
+    plateau = best_src is None and status == 0
     return RestartRecord(
-        start=tuple(start), nfev=int(res.nfev), evaluations=evaluations,
-        status=-1 if plateau else int(res.status), rate=best_rate, params=best_src,
+        start=tuple(start), nfev=nfev, evaluations=evaluations,
+        status=-1 if plateau else status, rate=best_rate, params=best_src,
         plateau=plateau,
     )
 

@@ -1,6 +1,10 @@
+import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,7 +112,7 @@ def test_optimize_records_running_best_per_restart(monkeypatch):
     for rec in out.restarts:
         mine = probes[first:first + rec.evaluations]
         first += rec.evaluations
-        assert rec.nfev >= rec.evaluations  # infeasible corners count only for scipy
+        assert rec.nfev >= rec.evaluations  # nfev also counts infeasible corners
         assert rec.rate == max(r for _, r in mine)
         if rec.plateau:  # stopped after its flat initial simplex
             assert rec.status == -1
@@ -145,7 +149,8 @@ def test_cold_method_a_at_440km_keeps_its_rate(monkeypatch):
 
 
 def test_plateau_stop_needs_a_call_past_the_initial_simplex(monkeypatch):
-    # With the cap at dim + 1 calls scipy stops first, so nothing is flagged.
+    # With the cap at dim + 1 calls the cap stops the simplex first, so
+    # nothing is flagged.
     monkeypatch.setenv("SNSKIT_THREADS", "1")
     dim = _Space(_small_problem()).dim
     flat = optimize(_small_problem(max_evals=dim + 1)).restarts[1]
@@ -168,17 +173,15 @@ def test_relative_stop_cuts_the_tight_run_short(monkeypatch):
 
 def test_objective_ranks_every_positive_rate_above_zero_and_infeasible(monkeypatch):
     import numpy as np
-    import scipy.optimize
-    from types import SimpleNamespace
 
     objectives = []
-    real_minimize = scipy.optimize.minimize
+    real_nelder_mead = optimizer._nelder_mead
 
-    def capturing(fun, x0, **kwargs):
-        objectives.append(fun)
-        return real_minimize(fun, x0, **kwargs)
+    def capturing(objective, simplex, max_evals, fatol):
+        objectives.append(objective)
+        return real_nelder_mead(objective, simplex, max_evals, fatol)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", capturing)
+    monkeypatch.setattr(optimizer, "_nelder_mead", capturing)
     problem = _small_problem(mode="asymmetric", restarts=1, max_evals=20)
     _recorded_optimize(monkeypatch, problem)
     objective, = objectives
@@ -199,6 +202,131 @@ def test_objective_ranks_every_positive_rate_above_zero_and_infeasible(monkeypat
     values = [value_at(r) for r in rates]
     assert all(v < floor for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))  # a higher rate ranks higher
+
+
+def _restart_inputs(monkeypatch, problem: OptimizationProblem, start: list[float]):
+    """The objective and initial simplex `_run_restart` passes to `_nelder_mead`."""
+    captured = []
+
+    def capturing(objective, simplex, max_evals, fatol):
+        captured.append((objective, simplex))
+        return 0, 1  # skip the descent: only its inputs are needed
+
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "_nelder_mead", capturing)
+        optimizer._run_restart(problem, start)
+    (objective, simplex), = captured
+    return objective, simplex
+
+
+def _recording(objective, calls: list):
+    def recorded(x):
+        value = objective(x)
+        calls.append(([float(v) for v in x], value))
+        return value
+
+    return recorded
+
+
+def _bits(calls: list) -> list:
+    return [[v.hex() for v in x] for x, _ in calls]
+
+
+def _against_scipy(monkeypatch, problem: OptimizationProblem, start: list[float]):
+    """Run the simplex and scipy's Nelder-Mead on one restart's objective.
+
+    Asserts that both evaluate the same points bit for bit and report the
+    same call count and status; returns the objective, the initial simplex,
+    the (point, value) calls and the status.
+    """
+    import numpy as np
+    from scipy.optimize import minimize
+
+    objective, simplex = _restart_inputs(monkeypatch, problem, start)
+    ours: list = []
+    theirs: list = []
+    nfev, status = optimizer._nelder_mead(
+        _recording(objective, ours), simplex, problem.max_evals, optimizer._RTOL
+    )
+    res = minimize(
+        _recording(objective, theirs), np.asarray(simplex[0]), method="Nelder-Mead",
+        options={
+            "maxfev": problem.max_evals,
+            "xatol": math.inf,
+            "fatol": optimizer._RTOL,
+            "initial_simplex": np.asarray(simplex),
+        },
+    )
+    assert _bits(ours) == _bits(theirs)
+    assert nfev == res.nfev == len(ours)
+    assert status == res.status
+    return objective, simplex, ours, status
+
+
+def test_simplex_matches_scipy_on_a_symmetric_restart(monkeypatch):
+    problem = _small_problem(restarts=1, max_evals=1000)
+    *_, calls, status = _against_scipy(monkeypatch, problem, optimizer._starts(problem)[0])
+    assert status == 0 and 100 < len(calls) < problem.max_evals
+
+
+def test_simplex_matches_scipy_through_infeasible_asymmetric_corners(monkeypatch):
+    problem = OptimizationProblem(
+        exp=table1_exp(250.0).at_distance(250.0, 100.0), mode="asymmetric",
+        max_evals=120, seed=3,
+    )
+    space = _Space(problem)
+    *_, calls, status = _against_scipy(monkeypatch, problem, optimizer._starts(problem)[6])
+    assert status == 1 and space.dim == 13
+    infeasible = [i for i, (x, _) in enumerate(calls) if space.decode(x) is None]
+    assert infeasible and min(infeasible) > space.dim  # met during the descent
+    assert min(value for _, value in calls) < optimizer._NO_RATE
+
+
+def test_simplex_matches_scipy_on_tied_no_rate_vertices(monkeypatch):
+    import numpy as np
+
+    # The first restart of the cold seed-1 440 km method-A optimize: its
+    # initial simplex holds tied zero-rate vertices beside positive ones,
+    # and near its end an outside contraction ties the reflected value.
+    problem = OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), method="A", seed=1)
+    objective, simplex, calls, status = _against_scipy(
+        monkeypatch, problem, optimizer._starts(problem)[0]
+    )
+    assert status == 0
+    first = [value for _, value in calls[:len(simplex)]]
+    assert first.count(optimizer._NO_RATE) >= 2 and min(first) < optimizer._NO_RATE
+    # A stable sort orders those ties differently and takes another path.
+    monkeypatch.setattr(
+        optimizer, "np", SimpleNamespace(argsort=partial(np.argsort, kind="stable"))
+    )
+    stable: list = []
+    optimizer._nelder_mead(
+        _recording(objective, stable), simplex, problem.max_evals, optimizer._RTOL
+    )
+    assert _bits(stable) != _bits(calls)
+
+
+def test_simplex_matches_scipy_when_the_cap_cuts_the_initial_simplex(monkeypatch):
+    problem = _small_problem(max_evals=5)
+    *_, calls, status = _against_scipy(monkeypatch, problem, optimizer._starts(problem)[0])
+    assert (len(calls), status) == (5, 1)
+
+
+def test_simplex_matches_scipy_when_the_cap_cuts_a_shrink(monkeypatch):
+    problem = _small_problem(max_evals=50)
+    *_, calls, status = _against_scipy(monkeypatch, problem, optimizer._starts(problem)[0])
+    assert (len(calls), status) == (50, 1)
+    # The last four calls are shrink vertices v0 + (v - v0) / 2: v0 is the
+    # best point so far and each v an earlier vertex, so 2q - v0 returns to
+    # an earlier point.
+    before = calls[:-4]
+    best = min(before, key=lambda call: call[1])[0]
+    for q, _ in calls[-4:]:
+        back = [2.0 * a - b for a, b in zip(q, best)]
+        assert any(
+            all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in zip(back, x))
+            for x, _ in before
+        )
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
@@ -357,3 +485,29 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_optimize_and_cli_scan_load_no_scipy_optimize(tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(
+        "exp.p_d = 1.0e-8\nexp.e_d = 0.03\nexp.eta_d = 0.30\nexp.f = 1.1\n"
+        "exp.alpha_f = 0.2\nexp.N = 1.0e12\nexp.L_A = 150\nexp.L_B = 150\n"
+        "opt.distances = 300\nopt.restarts = 2\nopt.max_evals = 30\n",
+        encoding="utf-8",
+    )
+    csv = tmp_path / "scan.csv"
+    argv = ["scan", "--config", str(cfg), "--out", str(csv)]
+    code = (
+        "import sys, snskit\n"
+        "from snskit import cli\n"
+        "from snskit.optimizer import OptimizationProblem, optimize\n"
+        "from snskit.tables import TABLE2_EXP\n"
+        "exp = TABLE2_EXP.at_distance(300.0)\n"
+        "optimize(OptimizationProblem(exp=exp, restarts=2, max_evals=30))\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         timeout=120, env={**os.environ, "SNSKIT_THREADS": "1"})
+    assert out.stdout.strip() == "False"
+    assert csv.read_text().count("\n") == 2  # header and one row
