@@ -41,12 +41,22 @@ _MAX_INTENSITY = 690.0
 # The slice average of the wrong-click probability is a power series in the
 # interference amplitude (see _slice_mean_excess_terms).  Its terms alternate,
 # so past |amp| = 1 it loses digits (5e-13 relative at amp = 5, 4e-8 at 10
-# with 16 slices); there the 64-point Gauss-Legendre rule below takes over.
-# The integrand is entire, so the rule is converged for any slice count >= 2.
+# with 16 slices); there the 64-point Gauss-Legendre rule of _gl_rule takes
+# over.  The integrand is entire, so the rule is converged for any slice
+# count >= 2.
 _SERIES_MAX_AMP = 1.0
 _SERIES_RTOL = 1e-18  # a term this far below the running sum ends the series
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+
+
+@lru_cache(maxsize=1)
+def _gl_rule() -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the 64-point Gauss-Legendre rule on [-1, 1].
+
+    Built on first use: only |amp| > 1 needs it, and building it imports
+    numpy.polynomial.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
 @dataclass(frozen=True)
@@ -412,7 +422,7 @@ def _x1_error_probability(x: float, y: float, exp: ExperimentalParams) -> float:
         # Average over [0, b]; the integrand is even so this equals [-b, b].
         return 0.5 * math.fsum(
             w * _wrong_click_probability(0.5 * b * (t + 1.0), half, amp, exp.p_d)
-            for t, w in _GL
+            for t, w in _gl_rule()
         )
     excess = sum(_slice_mean_excess_terms(amp, exp.M_slices))
     gap = 0.5 * (math.sqrt(x) - math.sqrt(y)) ** 2 + 2.0 * exp.e_d * root_xy  # half - amp

@@ -29,6 +29,7 @@ VACUOUS_FLAGS = frozenset({
     "zigzag-vacuous",
     "zero-key",
     "aopp-degenerate",
+    "zero-failure-probability",
 })
 
 
@@ -65,9 +66,10 @@ def key_rate(
 
     The privacy term treats any phase-error rate at or above one half as
     carrying no extractable secrecy, so out-of-range bounds cannot produce
-    a spurious positive rate.
+    a spurious positive rate.  A zero eps_cor, eps_PA or eps_hat is
+    unattainable: its cost in bits is infinite, so the rate is 0.
     """
-    if n1_prime <= 0.0:
+    if n1_prime <= 0.0 or 0.0 in (budget.eps_cor, budget.eps_PA, budget.eps_hat):
         return 0.0
     priv = 1.0 - shannon_entropy(min(max(e1ph_prime, 0.0), 0.5))
     secret = (
@@ -111,7 +113,9 @@ def evaluate(
     the way forces R = 0 while keeping the flag in the report.  A rate that
     key_rate clamps to 0 because the secret margin (the survived untagged
     bits' secrecy minus error correction and the failure-probability terms)
-    is not positive carries the flag "negative-secret-margin".
+    is not positive carries the flag "negative-secret-margin"; a zero
+    failure probability in the budget (eps_cor, eps_PA, eps_hat, eps_def)
+    carries the fatal flag "zero-failure-probability".
     """
     if budget is None:
         budget = security_budget()
@@ -127,7 +131,10 @@ def evaluate(
     zz = run_zigzag(bounds, obs, budget, mode)
     flags = obs.flags + bounds.flags + zz.flags
     rate = key_rate(zz.n1_prime, zz.e1ph_prime, obs.n_t_prime, obs.E_prime, exp, budget)
-    if rate == 0.0 and zz.n1_prime > 0:  # key_rate clamped its margin
+    if 0.0 in (budget.eps_cor, budget.eps_PA, budget.eps_hat):
+        if "zero-failure-probability" not in flags:  # run_zigzag flags eps_def
+            flags += ("zero-failure-probability",)
+    elif rate == 0.0 and zz.n1_prime > 0:  # key_rate clamped its margin
         flags += ("negative-secret-margin",)
     if any(f in VACUOUS_FLAGS for f in flags):
         rate = 0.0

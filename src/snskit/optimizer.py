@@ -15,8 +15,14 @@ Each restart reports one compact record, not its evaluations.
 
 The simplex minimizes ``-ln R``.  It only compares objective values, so
 any strictly decreasing transform of R makes the same moves; this one makes
-the stop scale-free: a restart stops once the rates at its vertices agree
-to ``_RTOL`` (1e-5) relative, with no tolerance on position.
+the stop scale-free, with no tolerance on position.  The search runs in two
+phases.  Every restart first stops once the rates at its vertices agree to
+``_COARSE_RTOL`` (1e-3) relative.  Then only the leading restart, the best
+one that converged with a positive rate, resumes from its saved simplex
+until its rates agree to ``_RTOL`` (1e-5).  No simplex move reads the
+tolerance, so the leader evaluates exactly the points one uninterrupted
+run to ``_RTOL`` would; the other restarts keep their coarse records
+(``status == 2``), which is where the evaluations are saved.
 R = 0 and infeasible asymmetric corners share one value above every
 positive rate's.  So a restart whose whole initial simplex (dim + 1
 objective calls, infeasible corners included) reads no positive rate meets
@@ -51,7 +57,8 @@ __all__ = [
 ]
 
 _SIMPLEX_STEP = 0.25  # initial simplex edge in transformed coordinates
-_RTOL = 1e-5  # relative spread of the simplex's rates at which a restart stops
+_COARSE_RTOL = 1e-3  # relative spread of the simplex's rates at which every restart stops
+_RTOL = 1e-5  # ... and at which the leading restart, resumed, stops
 # Objective of R = 0 and of infeasible corners: above -ln R of any positive
 # double (at most 745), so every positive rate ranks above them.
 _NO_RATE = 1e3
@@ -73,7 +80,7 @@ class OptimizationProblem:
     method       phase-error estimator passed through to the evaluation
     zigzag_mode  "approx" or "exact" pairing-stage accounting
     max_evals    cap on objective calls per restart, infeasible corners
-                 included
+                 included; the leader's coarse and resumed phases share it
     x0           optional warm-start source vector
     """
 
@@ -108,10 +115,13 @@ class RestartRecord:
 
     start        starting point in the transformed search coordinates
     nfev         objective calls the simplex made, infeasible corners
-                 included
-    evaluations  key-rate evaluations made (feasible points only)
+                 included (for the leader, over both phases)
+    evaluations  key-rate evaluations made (feasible points only; for the
+                 leader, over both phases)
     status       0 converged (the rates at all vertices agree to 1e-5
-                 relative), 1 evaluation cap, or -1 on a plateau record
+                 relative; only the leader), 1 evaluation cap, 2 stopped
+                 where its rates agree to 1e-3 relative and not refined
+                 (a restart other than the leader), or -1 on a plateau record
     rate         best rate the restart evaluated (0.0 if none was positive)
     params       source of that rate, or None
     plateau      True when no point of the initial simplex had a positive
@@ -267,45 +277,65 @@ class _Capped(Exception):
     """The simplex asked for an objective call beyond its cap."""
 
 
-def _nelder_mead(objective, simplex: "list[list[float]]", max_evals: int,
-                 fatol: float) -> tuple[int, int]:
-    """Minimize ``objective`` from ``simplex`` (dim + 1 vertices of floats).
+@dataclass
+class _Simplex:
+    """A simplex between steps: its vertices sorted by objective value, and
+    the objective calls made so far.  ``_nelder_mead`` steps it in place, so
+    a later call resumes at the next step without re-evaluating or
+    re-sorting; a worker process can hand it back for that."""
+
+    vertices: "list[list[float]]"
+    values: "list[float]"
+    nfev: int = 0
+
+    def call(self, objective, x: "list[float]", max_evals: int) -> float:
+        if self.nfev >= max_evals:
+            raise _Capped
+        self.nfev += 1
+        return objective(x)
+
+    def sort(self) -> None:
+        # numpy's default argsort is unstable: it decides the order of tied
+        # vertices, so this sorts exactly when and how scipy does.
+        order = np.argsort(self.values)
+        self.vertices[:] = [self.vertices[i] for i in order]
+        self.values[:] = [self.values[i] for i in order]
+
+
+def _initial_simplex(objective, vertices: "list[list[float]]", max_evals: int) -> _Simplex:
+    """Evaluate ``vertices`` (dim + 1 of them) up to the cap and sort them."""
+    # Copies only the outer list: steps replace vertices, never edit one.
+    simplex = _Simplex(list(vertices), [math.inf] * len(vertices))
+    try:
+        for k, x in enumerate(simplex.vertices):
+            simplex.values[k] = simplex.call(objective, x, max_evals)
+    except _Capped:
+        pass
+    simplex.sort()
+    simplex.sort()  # scipy sorts the initial simplex twice
+    return simplex
+
+
+def _nelder_mead(objective, simplex: _Simplex, max_evals: int, fatol: float) -> int:
+    """Minimize ``objective``, stepping ``simplex`` in place.
 
     Makes scipy's Nelder-Mead moves (``_minimize_neldermead``, default
     coefficients: reflect 1, expand 2, contract 1/2, shrink 1/2) in the same
     floating-point operation order and with the same argsort calls, so it
     evaluates the same points bit for bit.  Stops when the objective values
-    at all vertices agree to ``fatol`` (status 0), or at the ``max_evals``-th
-    call (status 1), abandoning a step the cap cuts short.  Returns
-    (objective calls, status).
+    at all vertices agree to ``fatol`` (status 0), or when the simplex has
+    made ``max_evals`` calls in all (status 1), abandoning a step the cap
+    cuts short.  Returns the status.  No move reads ``fatol``, only the stop
+    test before each step, so resuming a simplex stopped at a looser
+    ``fatol`` evaluates exactly the points one run at the tighter one would.
     """
-    n = len(simplex) - 1
-    sim = list(simplex)  # steps replace vertices, never edit one in place
-    fsim = [math.inf] * (n + 1)
-    nfev = 0
+    n = len(simplex.vertices) - 1
+    sim, fsim = simplex.vertices, simplex.values
 
     def f(x: "list[float]") -> float:
-        nonlocal nfev
-        if nfev >= max_evals:
-            raise _Capped
-        nfev += 1
-        return objective(x)
+        return simplex.call(objective, x, max_evals)
 
-    def sort() -> None:
-        # numpy's default argsort is unstable: it decides the order of tied
-        # vertices, so this sorts exactly when and how scipy does.
-        order = np.argsort(fsim)
-        sim[:] = [sim[i] for i in order]
-        fsim[:] = [fsim[i] for i in order]
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _Capped:
-        pass
-    sort()
-    sort()  # scipy sorts the initial simplex twice
-    while nfev < max_evals:
+    while simplex.nfev < max_evals:
         if max(abs(fsim[0] - fi) for fi in fsim[1:]) <= fatol:
             break
         try:
@@ -340,44 +370,65 @@ def _nelder_mead(objective, simplex: "list[list[float]]", max_evals: int,
                         fsim[j] = f(sim[j])
         except _Capped:
             pass
-        sort()
-    return nfev, int(nfev >= max_evals)
+        simplex.sort()
+    return int(simplex.nfev >= max_evals)
 
 
-def _run_restart(problem: OptimizationProblem, start: list[float]) -> RestartRecord:
-    """One simplex descent on -ln R, keeping only its running best."""
-    space = _Space(problem)
-    budget = problem.security if problem.security is not None else security_budget()
-    evaluations = 0
-    best_src: SourceParams | None = None
-    best_rate = 0.0
+class _Objective:
+    """-ln R at a search vector, keeping the count and the best of its evaluations."""
 
-    def objective(t: "list[float]") -> float:
-        nonlocal evaluations, best_src, best_rate
-        src = space.decode(t)
+    def __init__(self, problem: OptimizationProblem, evaluations: int = 0,
+                 rate: float = 0.0, params: SourceParams | None = None):
+        self.problem = problem
+        self.space = _Space(problem)
+        self.budget = problem.security if problem.security is not None else security_budget()
+        self.evaluations, self.rate, self.params = evaluations, rate, params
+
+    def __call__(self, t: "list[float]") -> float:
+        src = self.space.decode(t)
         if src is None:
             return _NO_RATE  # infeasible corner
+        problem = self.problem
         rate = evaluate(
             problem.exp, src, method=problem.method,
-            mode=problem.zigzag_mode, budget=budget,
+            mode=problem.zigzag_mode, budget=self.budget,
         ).R
-        evaluations += 1
-        if _better(rate, src, best_rate, best_src):
-            best_src, best_rate = src, rate
+        self.evaluations += 1
+        if _better(rate, src, self.rate, self.params):
+            self.params, self.rate = src, rate
         return -math.log(rate) if rate > 0.0 else _NO_RATE
 
-    simplex = [list(start)]
+
+def _run_restart(problem: OptimizationProblem,
+                 start: "list[float]") -> tuple[RestartRecord, _Simplex]:
+    """One simplex descent on -ln R to ``_COARSE_RTOL``: its record and simplex."""
+    objective = _Objective(problem)
+    vertices = [list(start)]
     for k in range(len(start)):
         vertex = list(start)
         vertex[k] += _SIMPLEX_STEP
-        simplex.append(vertex)
-    nfev, status = _nelder_mead(objective, simplex, problem.max_evals, _RTOL)
+        vertices.append(vertex)
+    simplex = _initial_simplex(objective, vertices, problem.max_evals)
+    status = _nelder_mead(objective, simplex, problem.max_evals, _COARSE_RTOL)
     # Converged without a positive rate: the flat initial simplex met the stop.
-    plateau = best_src is None and status == 0
-    return RestartRecord(
-        start=tuple(start), nfev=nfev, evaluations=evaluations,
-        status=-1 if plateau else status, rate=best_rate, params=best_src,
-        plateau=plateau,
+    plateau = objective.params is None and status == 0
+    if status == 0:
+        status = -1 if plateau else 2
+    record = RestartRecord(
+        start=tuple(start), nfev=simplex.nfev, evaluations=objective.evaluations,
+        status=status, rate=objective.rate, params=objective.params, plateau=plateau,
+    )
+    return record, simplex
+
+
+def _refine(problem: OptimizationProblem, record: RestartRecord,
+            simplex: _Simplex) -> RestartRecord:
+    """Resume a restart stopped at ``_COARSE_RTOL`` until it stops at ``_RTOL``."""
+    objective = _Objective(problem, record.evaluations, record.rate, record.params)
+    status = _nelder_mead(objective, simplex, problem.max_evals, _RTOL)
+    return replace(
+        record, nfev=simplex.nfev, evaluations=objective.evaluations,
+        status=status, rate=objective.rate, params=objective.params,
     )
 
 
@@ -388,6 +439,18 @@ def _starts(problem: OptimizationProblem) -> list[list[float]]:
     for _ in range(problem.restarts - 1):
         starts.append(rng.uniform(-2.0, 2.0, size=space.dim).tolist())
     return starts
+
+
+def _best(records: "list[RestartRecord]") -> int | None:
+    """Index of the record whose rate and source win under ``_better``, or
+    None when no record has a source."""
+    best = None
+    for i, rec in enumerate(records):
+        if rec.params is not None and (
+            best is None or _better(rec.rate, rec.params, records[best].rate, records[best].params)
+        ):
+            best = i
+    return best
 
 
 def _worker_count() -> int:
@@ -407,10 +470,11 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     Deterministic per seed: the restart points are drawn from a seeded
     generator and the result is the best evaluation over all restarts, with
     ties broken toward the lexicographically smaller parameter vector.
-    SNSKIT_THREADS is the number of worker processes that run the restarts,
-    capped at the restart count; 1 (the default) runs them in this process.
-    The merged result does not depend on it.  A value that is not a positive
-    integer raises ValueError before any restart runs.
+    SNSKIT_THREADS is the number of worker processes that run the restarts'
+    coarse phase, capped at the restart count; 1 (the default) runs them in
+    this process.  The leader is refined in this process, so the records do
+    not depend on it.  A value that is not a positive integer raises
+    ValueError before any restart runs.
     """
     starts = _starts(problem)
     workers = _worker_count()
@@ -418,18 +482,20 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
         # The fork start method forks every worker up front, so start no
         # more than there are restarts.
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            records = tuple(pool.map(_run_restart, [problem] * len(starts), starts))
+            coarse = list(pool.map(_run_restart, [problem] * len(starts), starts))
     else:
-        records = tuple(_run_restart(problem, start) for start in starts)
+        coarse = [_run_restart(problem, start) for start in starts]
+    records = [rec for rec, _ in coarse]
+    # Only the best restart that converged with a source goes on to _RTOL.
+    converged = [i for i, rec in enumerate(records) if rec.status == 2]
+    if converged:
+        lead = converged[_best([records[i] for i in converged])]
+        records[lead] = _refine(problem, *coarse[lead])
     evaluations = sum(rec.evaluations for rec in records)
-    best_src: SourceParams | None = None
-    best_rate = 0.0
-    for rec in records:
-        if rec.params is not None and _better(rec.rate, rec.params, best_rate, best_src):
-            best_src, best_rate = rec.params, rec.rate
-    if best_src is None:
-        return OptimizeResult(None, 0.0, records, evaluations, ("zero-rate-box",))
-    return OptimizeResult(best_src, best_rate, records, evaluations)
+    best = _best(records)
+    if best is None:
+        return OptimizeResult(None, 0.0, tuple(records), evaluations, ("zero-rate-box",))
+    return OptimizeResult(records[best].params, records[best].rate, tuple(records), evaluations)
 
 
 def scan(

@@ -419,6 +419,17 @@ def test_x1_large_amplitude_keeps_gauss_legendre(amp, m_slices):
     assert got == pytest.approx(_gauss_legendre_64(x, x, exp), rel=1e-12, abs=0.0)
 
 
+def test_import_builds_no_gauss_legendre_rule():
+    # Only |amp| > 1 needs the rule, so import leaves numpy.polynomial out.
+    import subprocess
+    import sys
+
+    code = "import sys, snskit; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("L_total", [0.0, 100.0, 250.0, 300.0, 440.0, 600.0])
 @pytest.mark.parametrize("m_slices", [1, 2, 16, 32])
 @pytest.mark.parametrize("exp_overrides", [{}, {"e_d": 0.07, "p_d": 3.36e-8, "eta_d": 0.2}])

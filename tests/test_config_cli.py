@@ -162,6 +162,14 @@ def test_cli_rate_zero_rate_exit_code(tmp_path):
     assert "R             0.00000e+00" in cp.stdout
 
 
+def test_cli_rate_zero_failure_probability_exit_code(tmp_path):
+    path = _write(tmp_path, BASE_CONFIG)
+    cp = _run_cli("rate", "--config", path, "--set", "budget.eps_PA=0")
+    assert cp.returncode == 3, cp.stderr
+    assert "R             0.00000e+00" in cp.stdout
+    assert "zero-failure-probability" in cp.stdout
+
+
 def test_cli_rate_method_b_flag(tmp_path):
     cp = _run_cli("rate", "--config", _write(tmp_path, BASE_CONFIG), "--method", "B")
     assert cp.returncode == 0

@@ -236,6 +236,20 @@ def test_evaluate_flags_negative_secret_margin(golden_src):
     assert "negative-secret-margin" not in VACUOUS_FLAGS
 
 
+@pytest.mark.parametrize("field", ["eps_cor", "eps_PA", "eps_hat", "eps_def"])
+@pytest.mark.parametrize("mode", ["approx", "exact"])
+def test_evaluate_zero_failure_probability_gives_flagged_zero(golden_exp, golden_src, field, mode):
+    # A zero failure probability constructs, but no finite key meets it.
+    from snskit.keyrate import VACUOUS_FLAGS
+
+    budget = security_budget(**{field: 0.0})
+    for method in ("A", "B"):
+        rep = evaluate(golden_exp, golden_src, method=method, mode=mode, budget=budget)
+        assert rep.R == 0.0 and not rep.secure
+        assert rep.flags == ("zero-failure-probability",)
+    assert "zero-failure-probability" in VACUOUS_FLAGS
+
+
 @pytest.mark.parametrize("override", [{"xi_tau": 1.0}, {"xi_tau_tilde": 1.0}])
 def test_evaluate_exact_mode_fluctuation_free_tail_levels(golden_exp, golden_src, override):
     rep = evaluate(golden_exp, golden_src, method="A", mode="exact",

@@ -102,7 +102,32 @@ def test_optimize_best_dominates_every_evaluation(monkeypatch):
 def test_optimize_records_running_best_per_restart(monkeypatch):
     problem = _small_problem()
     dim = _Space(problem).dim
-    out, probes = _recorded_optimize(monkeypatch, problem)
+    # The leader's refinement runs after every restart's coarse phase, so
+    # each probe is filed under the start of the restart that made it.
+    probes: list[tuple[SourceParams, float]] = []
+    mine_of: dict = {}
+    current: list = []
+    real_run, real_refine = optimizer._run_restart, optimizer._refine
+
+    def run(problem, start):
+        current[:] = [tuple(start)]
+        return real_run(problem, start)
+
+    def refine(problem, record, simplex):
+        current[:] = [record.start]
+        return real_refine(problem, record, simplex)
+
+    def recording(*args, **kwargs):
+        report = evaluate(*args, **kwargs)
+        probes.append((report.src, report.R))
+        mine_of.setdefault(current[0], []).append(probes[-1])
+        return report
+
+    monkeypatch.setenv("SNSKIT_THREADS", "1")
+    monkeypatch.setattr(optimizer, "evaluate", recording)
+    monkeypatch.setattr(optimizer, "_run_restart", run)
+    monkeypatch.setattr(optimizer, "_refine", refine)
+    out = optimize(problem)
     assert len(out.restarts) == 2
     # The warm start's simplex holds a positive rate, so it is never
     # flagged; the seed-11 restart starts on the plateau.
@@ -110,7 +135,8 @@ def test_optimize_records_running_best_per_restart(monkeypatch):
     assert out.restarts[0].rate > 0.0
     first = 0
     for rec in out.restarts:
-        mine = probes[first:first + rec.evaluations]
+        mine = mine_of.get(rec.start, [])
+        assert len(mine) == rec.evaluations
         first += rec.evaluations
         assert rec.nfev >= rec.evaluations  # nfev also counts infeasible corners
         assert rec.rate == max(r for _, r in mine)
@@ -124,6 +150,53 @@ def test_optimize_records_running_best_per_restart(monkeypatch):
             assert (rec.params, rec.rate) in mine
     assert first == len(probes) == out.evaluations
     assert out.rate == max(rec.rate for rec in out.restarts) > 0.0
+
+
+def test_only_the_leading_restart_is_refined(monkeypatch):
+    monkeypatch.setenv("SNSKIT_THREADS", "1")
+    problem = OptimizationProblem(exp=TABLE2_EXP.at_distance(250.0), method="B", seed=1)
+    out = optimize(problem)
+    coarse = [optimizer._run_restart(problem, start)[0] for start in optimizer._starts(problem)]
+    refined = [i for i, (a, b) in enumerate(zip(coarse, out.restarts)) if a != b]
+    assert len(refined) == 1
+    lead, = refined
+    assert coarse[lead].status == 2 and out.restarts[lead].status == 0
+    assert out.restarts[lead].nfev > coarse[lead].nfev
+    assert out.restarts[lead].evaluations > coarse[lead].evaluations
+    # The leader is the best converged restart; every other one stays at
+    # the coarse stop with its coarse record.
+    others = [rec for i, rec in enumerate(coarse) if i != lead]
+    assert all(rec.status == 2 for rec in others)
+    assert all(rec.rate < coarse[lead].rate for rec in others)
+    assert out.rate == out.restarts[lead].rate >= coarse[lead].rate
+
+
+def test_seed1_table2_stays_within_its_evaluation_count(monkeypatch):
+    # Pins the restart economy: the seed-1 Table II made 8,900 evaluations
+    # when every restart ran to _RTOL, and 6,114 with only the leader
+    # refined.
+    from snskit.tables import compute_table2
+
+    counts: list[int] = []
+    calls = 0
+    real_optimize, real_evaluate = optimizer.optimize, optimizer.evaluate
+
+    def counting(problem):
+        out = real_optimize(problem)
+        counts.append(out.evaluations)
+        return out
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setenv("SNSKIT_THREADS", "1")
+    monkeypatch.setattr(optimizer, "optimize", counting)
+    monkeypatch.setattr(optimizer, "evaluate", counted)
+    compute_table2(seed=1)
+    assert len(counts) == 8  # two methods at four distances
+    assert sum(counts) == calls <= 6114
 
 
 def test_cold_method_b_at_440km_stops_every_restart_on_the_plateau(monkeypatch):
@@ -174,17 +247,8 @@ def test_relative_stop_cuts_the_tight_run_short(monkeypatch):
 def test_objective_ranks_every_positive_rate_above_zero_and_infeasible(monkeypatch):
     import numpy as np
 
-    objectives = []
-    real_nelder_mead = optimizer._nelder_mead
-
-    def capturing(objective, simplex, max_evals, fatol):
-        objectives.append(objective)
-        return real_nelder_mead(objective, simplex, max_evals, fatol)
-
-    monkeypatch.setattr(optimizer, "_nelder_mead", capturing)
     problem = _small_problem(mode="asymmetric", restarts=1, max_evals=20)
-    _recorded_optimize(monkeypatch, problem)
-    objective, = objectives
+    objective, _ = _restart_inputs(monkeypatch, problem, optimizer._starts(problem)[0])
 
     space = _Space(problem)
     rng = np.random.default_rng(0)
@@ -204,19 +268,31 @@ def test_objective_ranks_every_positive_rate_above_zero_and_infeasible(monkeypat
     assert all(a > b for a, b in zip(values, values[1:]))  # a higher rate ranks higher
 
 
+class _Captured(Exception):
+    """Ends a restart once its inputs are captured."""
+
+
 def _restart_inputs(monkeypatch, problem: OptimizationProblem, start: list[float]):
-    """The objective and initial simplex `_run_restart` passes to `_nelder_mead`."""
+    """The objective and initial vertices `_run_restart` hands the simplex."""
     captured = []
 
-    def capturing(objective, simplex, max_evals, fatol):
-        captured.append((objective, simplex))
-        return 0, 1  # skip the descent: only its inputs are needed
+    def capturing(objective, vertices, max_evals):
+        captured.append((objective, vertices))
+        raise _Captured  # skip the descent: only its inputs are needed
 
     with monkeypatch.context() as m:
-        m.setattr(optimizer, "_nelder_mead", capturing)
-        optimizer._run_restart(problem, start)
-    (objective, simplex), = captured
-    return objective, simplex
+        m.setattr(optimizer, "_initial_simplex", capturing)
+        with pytest.raises(_Captured):
+            optimizer._run_restart(problem, start)
+    (objective, vertices), = captured
+    return objective, vertices
+
+
+def _straight(objective, vertices: list, max_evals: int) -> tuple[int, int]:
+    """One uninterrupted simplex run to `_RTOL`: (objective calls, status)."""
+    simplex = optimizer._initial_simplex(objective, vertices, max_evals)
+    status = optimizer._nelder_mead(objective, simplex, max_evals, optimizer._RTOL)
+    return simplex.nfev, status
 
 
 def _recording(objective, calls: list):
@@ -245,9 +321,7 @@ def _against_scipy(monkeypatch, problem: OptimizationProblem, start: list[float]
     objective, simplex = _restart_inputs(monkeypatch, problem, start)
     ours: list = []
     theirs: list = []
-    nfev, status = optimizer._nelder_mead(
-        _recording(objective, ours), simplex, problem.max_evals, optimizer._RTOL
-    )
+    nfev, status = _straight(_recording(objective, ours), simplex, problem.max_evals)
     res = minimize(
         _recording(objective, theirs), np.asarray(simplex[0]), method="Nelder-Mead",
         options={
@@ -263,19 +337,41 @@ def _against_scipy(monkeypatch, problem: OptimizationProblem, start: list[float]
     return objective, simplex, ours, status
 
 
+# The restarts the simplex is checked on, each as (problem, restart index).
+_ORACLE_RESTARTS = {
+    "symmetric": (lambda: _small_problem(restarts=1, max_evals=1000), 0),
+    # A 13-dim restart that meets infeasible corners during its descent.
+    "asymmetric": (lambda: OptimizationProblem(
+        exp=table1_exp(250.0).at_distance(250.0, 100.0), mode="asymmetric",
+        max_evals=120, seed=3,
+    ), 6),
+    # The first restart of the cold seed-1 440 km method-A optimize: its
+    # initial simplex holds tied zero-rate vertices beside positive ones,
+    # and near its end an outside contraction ties the reflected value.
+    "tied": (lambda: OptimizationProblem(
+        exp=TABLE2_EXP.at_distance(440.0), method="A", seed=1,
+    ), 0),
+    "cap-in-initial-simplex": (lambda: _small_problem(max_evals=5), 0),
+    "cap-in-shrink": (lambda: _small_problem(max_evals=50), 0),
+}
+
+
+def _oracle_restart(name: str) -> tuple[OptimizationProblem, list[float]]:
+    make, index = _ORACLE_RESTARTS[name]
+    problem = make()
+    return problem, optimizer._starts(problem)[index]
+
+
 def test_simplex_matches_scipy_on_a_symmetric_restart(monkeypatch):
-    problem = _small_problem(restarts=1, max_evals=1000)
-    *_, calls, status = _against_scipy(monkeypatch, problem, optimizer._starts(problem)[0])
+    problem, start = _oracle_restart("symmetric")
+    *_, calls, status = _against_scipy(monkeypatch, problem, start)
     assert status == 0 and 100 < len(calls) < problem.max_evals
 
 
 def test_simplex_matches_scipy_through_infeasible_asymmetric_corners(monkeypatch):
-    problem = OptimizationProblem(
-        exp=table1_exp(250.0).at_distance(250.0, 100.0), mode="asymmetric",
-        max_evals=120, seed=3,
-    )
+    problem, start = _oracle_restart("asymmetric")
     space = _Space(problem)
-    *_, calls, status = _against_scipy(monkeypatch, problem, optimizer._starts(problem)[6])
+    *_, calls, status = _against_scipy(monkeypatch, problem, start)
     assert status == 1 and space.dim == 13
     infeasible = [i for i, (x, _) in enumerate(calls) if space.decode(x) is None]
     assert infeasible and min(infeasible) > space.dim  # met during the descent
@@ -285,13 +381,8 @@ def test_simplex_matches_scipy_through_infeasible_asymmetric_corners(monkeypatch
 def test_simplex_matches_scipy_on_tied_no_rate_vertices(monkeypatch):
     import numpy as np
 
-    # The first restart of the cold seed-1 440 km method-A optimize: its
-    # initial simplex holds tied zero-rate vertices beside positive ones,
-    # and near its end an outside contraction ties the reflected value.
-    problem = OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), method="A", seed=1)
-    objective, simplex, calls, status = _against_scipy(
-        monkeypatch, problem, optimizer._starts(problem)[0]
-    )
+    problem, start = _oracle_restart("tied")
+    objective, simplex, calls, status = _against_scipy(monkeypatch, problem, start)
     assert status == 0
     first = [value for _, value in calls[:len(simplex)]]
     assert first.count(optimizer._NO_RATE) >= 2 and min(first) < optimizer._NO_RATE
@@ -300,21 +391,19 @@ def test_simplex_matches_scipy_on_tied_no_rate_vertices(monkeypatch):
         optimizer, "np", SimpleNamespace(argsort=partial(np.argsort, kind="stable"))
     )
     stable: list = []
-    optimizer._nelder_mead(
-        _recording(objective, stable), simplex, problem.max_evals, optimizer._RTOL
-    )
+    _straight(_recording(objective, stable), simplex, problem.max_evals)
     assert _bits(stable) != _bits(calls)
 
 
 def test_simplex_matches_scipy_when_the_cap_cuts_the_initial_simplex(monkeypatch):
-    problem = _small_problem(max_evals=5)
-    *_, calls, status = _against_scipy(monkeypatch, problem, optimizer._starts(problem)[0])
+    problem, start = _oracle_restart("cap-in-initial-simplex")
+    *_, calls, status = _against_scipy(monkeypatch, problem, start)
     assert (len(calls), status) == (5, 1)
 
 
 def test_simplex_matches_scipy_when_the_cap_cuts_a_shrink(monkeypatch):
-    problem = _small_problem(max_evals=50)
-    *_, calls, status = _against_scipy(monkeypatch, problem, optimizer._starts(problem)[0])
+    problem, start = _oracle_restart("cap-in-shrink")
+    *_, calls, status = _against_scipy(monkeypatch, problem, start)
     assert (len(calls), status) == (50, 1)
     # The last four calls are shrink vertices v0 + (v - v0) / 2: v0 is the
     # best point so far and each v an earlier vertex, so 2q - v0 returns to
@@ -327,6 +416,32 @@ def test_simplex_matches_scipy_when_the_cap_cuts_a_shrink(monkeypatch):
             all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in zip(back, x))
             for x, _ in before
         )
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_RESTARTS))
+def test_coarse_stop_and_resume_equal_one_straight_run(monkeypatch, name):
+    # No simplex move reads the tolerance, so a restart stopped at
+    # _COARSE_RTOL and resumed to _RTOL calls the objective exactly where
+    # one run to _RTOL does.
+    problem, start = _oracle_restart(name)
+    objective, vertices = _restart_inputs(monkeypatch, problem, start)
+    straight: list = []
+    nfev, status = _straight(_recording(objective, straight), vertices, problem.max_evals)
+
+    calls: list = []
+
+    class Recording(optimizer._Objective):
+        def __call__(self, t):
+            return _recording(super().__call__, calls)(t)
+
+    monkeypatch.setattr(optimizer, "_Objective", Recording)
+    record, simplex = optimizer._run_restart(problem, start)
+    if status == 0:  # the straight run went on past the coarse stop
+        assert record.status == 2 and record.nfev < nfev
+    if record.status == 2:
+        record = optimizer._refine(problem, record, simplex)
+    assert _bits(calls) == _bits(straight)
+    assert (record.nfev, record.status) == (nfev, status) == (len(calls), status)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
