@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 __all__ = ["SecurityBudget", "security_budget"]
@@ -49,6 +50,9 @@ class SecurityBudget:
                     raise ValueError(f"{f.name} must lie in (0, 1], got {v}")
             elif not (0.0 <= v < 1.0):
                 raise ValueError(f"{f.name} must lie in [0, 1), got {v}")
+            # 2/v and 1/v stay finite, so every ln(2/xi) cost does too.
+            if 0.0 < v < sys.float_info.min:
+                raise ValueError(f"{f.name} = {v} is below the smallest normal float")
 
     @property
     def eps_e(self) -> float:

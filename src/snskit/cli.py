@@ -10,10 +10,7 @@ Commands
   plob      print the repeater-less bounds for a list of distances
 
 Exit codes: 0 success, 2 configuration error, 3 evaluation produced a zero
-rate (the report is still printed), 4 output I/O error.  The environment
-variable SNSKIT_THREADS is the number of optimizer worker processes, capped
-at the restart count; results do not depend on its value, and one that is
-not a positive integer is a configuration error.
+rate (the report is still printed), 4 output I/O error.
 """
 
 from __future__ import annotations

@@ -95,11 +95,15 @@ def _convert(key: str, value: str):
     if typ is str:
         return value
     try:
-        if typ is int:
-            return int(float(value))
-        return typ(value)
+        number = float(value)
     except ValueError as err:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {typ.__name__}") from err
+    if typ is int:
+        # Parsed as a float so that 1e3 reads as 1000; inf, nan and fractions fail.
+        if not number.is_integer():
+            raise ConfigError(f"key {key!r}: {value!r} is not a finite integer")
+        return int(number)
+    return number
 
 
 def build_config(values: dict[str, str]) -> RunConfig:

@@ -77,6 +77,18 @@ def _rate_upper(n: float, size: float, xi: float) -> float:
     return min(chernoff_expected_upper(n, xi) / size, 1.0)
 
 
+def _single_side_rate(m1: float, m2: float, s_m1_L: float, s_m2_U: float, s_oo_U: float) -> float:
+    """One side's single-photon rate bound from its two decoy intensities, clamped at 0."""
+    weight = m2 * m1 * (m2 - m1)
+    if weight == 0.0:  # intensities so small that the weight underflows
+        return 0.0
+    return max((
+        m2 * m2 * math.exp(m1) * s_m1_L
+        - m1 * m1 * math.exp(m2) * s_m2_U
+        - (m2 * m2 - m1 * m1) * s_oo_U
+    ) / weight, 0.0)
+
+
 def bound_s01_s10(
     obs: ObservedStats, src: SourceParams, budget: SecurityBudget
 ) -> tuple[float, float]:
@@ -94,21 +106,10 @@ def bound_s01_s10(
     s_oy_U = _rate_upper(obs.n_oy, obs.N_oy, xi)
     s_xo_L = _rate_lower(obs.n_xo, obs.N_xo, xi)
     s_yo_U = _rate_upper(obs.n_yo, obs.N_yo, xi)
-
-    m1, m2 = src.mu1_b, src.mu2_b
-    s01 = (
-        m2 * m2 * math.exp(m1) * s_ox_L
-        - m1 * m1 * math.exp(m2) * s_oy_U
-        - (m2 * m2 - m1 * m1) * s_oo_U
-    ) / (m2 * m1 * (m2 - m1))
-
-    m1, m2 = src.mu1, src.mu2
-    s10 = (
-        m2 * m2 * math.exp(m1) * s_xo_L
-        - m1 * m1 * math.exp(m2) * s_yo_U
-        - (m2 * m2 - m1 * m1) * s_oo_U
-    ) / (m2 * m1 * (m2 - m1))
-    return max(s01, 0.0), max(s10, 0.0)
+    return (
+        _single_side_rate(src.mu1_b, src.mu2_b, s_ox_L, s_oy_U, s_oo_U),
+        _single_side_rate(src.mu1, src.mu2, s_xo_L, s_yo_U, s_oo_U),
+    )
 
 
 def bound_s1(s01_L: float, s10_L: float, src: SourceParams) -> float:
@@ -201,8 +202,8 @@ def estimate_untagged(
         e1ph = 1.0
     elif method == "A":
         e1ph = bound_e1ph_chernoff(obs, src, s1, budget)
-    elif obs.m_X1 + obs.n_oo <= 0:
-        # Method B has no events to base its deviation term on.
+    elif obs.m_X1 + obs.n_oo <= 0 or obs.N_X1 <= 0 or obs.N_oo <= 0:
+        # Method B has no events, or an empty window, to base its deviation term on.
         e1ph = 1.0
     else:
         e1ph = bound_e1ph_mcdiarmid(obs, src, s1, budget)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .budget import SecurityBudget, security_budget
@@ -72,12 +73,15 @@ def key_rate(
     if n1_prime <= 0.0 or 0.0 in (budget.eps_cor, budget.eps_PA, budget.eps_hat):
         return 0.0
     priv = 1.0 - shannon_entropy(min(max(e1ph_prime, 0.0), 0.5))
-    secret = (
-        n1_prime * priv
-        - exp.f * n_t_prime * shannon_entropy(E_prime)
-        - math.log2(2.0 / budget.eps_cor)
-        - 2.0 * math.log2(1.0 / (math.sqrt(2.0) * budget.eps_PA * budget.eps_hat))
-    )
+    h_E = shannon_entropy(E_prime)
+    # No errors cost no bits, even where f * n_t_prime overflows to inf.
+    ec_bits = exp.f * n_t_prime * h_E if h_E > 0.0 else 0.0
+    pa = math.sqrt(2.0) * budget.eps_PA * budget.eps_hat
+    if pa >= sys.float_info.min:
+        pa_bits = math.log2(1.0 / pa)
+    else:  # the product underflows: sum the logs instead
+        pa_bits = -0.5 - math.log2(budget.eps_PA) - math.log2(budget.eps_hat)
+    secret = n1_prime * priv - ec_bits - math.log2(2.0 / budget.eps_cor) - 2.0 * pa_bits
     return max(2.0 * secret / exp.N, 0.0)
 
 

@@ -10,8 +10,8 @@ probed point satisfies it exactly.
 
 Each optimization draws a seeded set of restart points, runs the simplex
 from each, and keeps the best evaluation ever made, which makes results
-deterministic per seed and independent of how restarts are scheduled.
-Each restart reports one compact record, not its evaluations.
+deterministic per seed.  Each restart reports one compact record, not its
+evaluations.
 
 The simplex minimizes ``-ln R``.  It only compares objective values, so
 any strictly decreasing transform of R makes the same moves; this one makes
@@ -27,7 +27,7 @@ R = 0 and infeasible asymmetric corners share one value above every
 positive rate's.  So a restart whose whole initial simplex (dim + 1
 objective calls, infeasible corners included) reads no positive rate meets
 the stop right there: on that flat plateau the simplex has no direction to
-descend.  Its record carries ``plateau=True`` and ``status == -1``.
+descend.  Its record has ``status == -1``, which ``plateau`` reads.
 
 The simplex is a small in-package loop on lists of floats that makes
 exactly the moves of scipy's ``minimize(method="Nelder-Mead")``, so
@@ -37,14 +37,12 @@ exactly the moves of scipy's ``minimize(method="Nelder-Mead")``, so
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .budget import SecurityBudget, security_budget
-from .channel import ExperimentalParams, SourceParams, constraint_ratio
+from .channel import _MAX_INTENSITY, ExperimentalParams, SourceParams, constraint_ratio
 from .keyrate import evaluate, plob_bounds
 
 __all__ = [
@@ -103,8 +101,8 @@ class OptimizationProblem:
             raise ValueError(f"mode must be 'symmetric' or 'asymmetric', got {self.mode!r}")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be positive")
-        if not (0.0 < self.mu_lo < self.mu_hi):
-            raise ValueError("intensity box must satisfy 0 < mu_lo < mu_hi")
+        if not (0.0 < self.mu_lo < self.mu_hi <= _MAX_INTENSITY):
+            raise ValueError(f"intensity box must satisfy 0 < mu_lo < mu_hi <= {_MAX_INTENSITY:g}")
         if not (0.0 < self.p_lo < self.p_hi < 1.0):
             raise ValueError("probability box must satisfy 0 < p_lo < p_hi < 1")
 
@@ -121,12 +119,9 @@ class RestartRecord:
     status       0 converged (the rates at all vertices agree to 1e-5
                  relative; only the leader), 1 evaluation cap, 2 stopped
                  where its rates agree to 1e-3 relative and not refined
-                 (a restart other than the leader), or -1 on a plateau record
+                 (a restart other than the leader), or -1 on a plateau
     rate         best rate the restart evaluated (0.0 if none was positive)
     params       source of that rate, or None
-    plateau      True when no point of the initial simplex had a positive
-                 rate: the flat simplex met the stop after its dim + 1 calls,
-                 and the record has status -1, rate 0.0 and params None
     """
 
     start: tuple[float, ...]
@@ -135,7 +130,12 @@ class RestartRecord:
     status: int
     rate: float
     params: SourceParams | None
-    plateau: bool = False
+
+    @property
+    def plateau(self) -> bool:
+        """No point of the initial simplex had a positive rate, so the flat
+        simplex met the stop after dim + 1 calls (status -1, rate 0, no params)."""
+        return self.status == -1
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,12 @@ class OptimizeResult:
     params: SourceParams | None
     rate: float
     restarts: tuple[RestartRecord, ...]
-    evaluations: int
     flags: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def evaluations(self) -> int:
+        """Key-rate evaluations made over all restarts."""
+        return sum(rec.evaluations for rec in self.restarts)
 
 
 @dataclass(frozen=True)
@@ -185,7 +189,8 @@ class _Space:
 
     def _mu(self, t: float) -> float:
         pr = self.problem
-        return pr.mu_lo * (pr.mu_hi / pr.mu_lo) ** _expit(t)
+        # min: at mu_hi = 690 the box top can round one ulp past the limit
+        return min(pr.mu_lo * (pr.mu_hi / pr.mu_lo) ** _expit(t), _MAX_INTENSITY)
 
     def _t_of_mu(self, mu: float) -> float:
         pr = self.problem
@@ -282,7 +287,7 @@ class _Simplex:
     """A simplex between steps: its vertices sorted by objective value, and
     the objective calls made so far.  ``_nelder_mead`` steps it in place, so
     a later call resumes at the next step without re-evaluating or
-    re-sorting; a worker process can hand it back for that."""
+    re-sorting."""
 
     vertices: "list[list[float]]"
     values: "list[float]"
@@ -410,13 +415,12 @@ def _run_restart(problem: OptimizationProblem,
         vertices.append(vertex)
     simplex = _initial_simplex(objective, vertices, problem.max_evals)
     status = _nelder_mead(objective, simplex, problem.max_evals, _COARSE_RTOL)
-    # Converged without a positive rate: the flat initial simplex met the stop.
-    plateau = objective.params is None and status == 0
     if status == 0:
-        status = -1 if plateau else 2
+        # Converged; with no positive rate the flat initial simplex met the stop.
+        status = -1 if objective.params is None else 2
     record = RestartRecord(
         start=tuple(start), nfev=simplex.nfev, evaluations=objective.evaluations,
-        status=status, rate=objective.rate, params=objective.params, plateau=plateau,
+        status=status, rate=objective.rate, params=objective.params,
     )
     return record, simplex
 
@@ -453,49 +457,24 @@ def _best(records: "list[RestartRecord]") -> int | None:
     return best
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SNSKIT_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"SNSKIT_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def optimize(problem: OptimizationProblem) -> OptimizeResult:
     """Maximize the key rate over the free source parameters.
 
     Deterministic per seed: the restart points are drawn from a seeded
     generator and the result is the best evaluation over all restarts, with
     ties broken toward the lexicographically smaller parameter vector.
-    SNSKIT_THREADS is the number of worker processes that run the restarts'
-    coarse phase, capped at the restart count; 1 (the default) runs them in
-    this process.  The leader is refined in this process, so the records do
-    not depend on it.  A value that is not a positive integer raises
-    ValueError before any restart runs.
     """
-    starts = _starts(problem)
-    workers = _worker_count()
-    if workers > 1 and len(starts) > 1:
-        # The fork start method forks every worker up front, so start no
-        # more than there are restarts.
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            coarse = list(pool.map(_run_restart, [problem] * len(starts), starts))
-    else:
-        coarse = [_run_restart(problem, start) for start in starts]
+    coarse = [_run_restart(problem, start) for start in _starts(problem)]
     records = [rec for rec, _ in coarse]
     # Only the best restart that converged with a source goes on to _RTOL.
     converged = [i for i, rec in enumerate(records) if rec.status == 2]
     if converged:
         lead = converged[_best([records[i] for i in converged])]
         records[lead] = _refine(problem, *coarse[lead])
-    evaluations = sum(rec.evaluations for rec in records)
     best = _best(records)
     if best is None:
-        return OptimizeResult(None, 0.0, tuple(records), evaluations, ("zero-rate-box",))
-    return OptimizeResult(records[best].params, records[best].rate, tuple(records), evaluations)
+        return OptimizeResult(None, 0.0, tuple(records), ("zero-rate-box",))
+    return OptimizeResult(records[best].params, records[best].rate, tuple(records))
 
 
 def scan(

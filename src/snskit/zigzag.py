@@ -186,8 +186,10 @@ def compute_M_bar_s(
     _check_mode(mode, budget)
     if r >= n:
         raise ValueError("remainder r must stay below the pair count n")
-    if M_bar < 1:
-        raise ValueError(f"M_bar must be >= 1, got {M_bar}")
+    if M_bar < 0:
+        raise ValueError(f"M_bar must be >= 0, got {M_bar}")
+    if M_bar == 0:  # a fluctuation-free xi_e1 at e1ph_U = 0: no errors to pair
+        return r, 0.0, ("zero-error-limit",)
     if mode == "approx":
         e_tau = (M_bar - _Q_TAU * math.sqrt(M_bar)) / (2.0 * n - r)
         if e_tau <= 0.0:
@@ -207,6 +209,8 @@ def compute_M_bar_s(
         e_tau = M_bar / trials_pre
     else:
         e_tau = invert_tail_for_p(trials_pre, M_bar, budget.xi_tau)
+        if math.isnan(e_tau):  # scipy's inverse: NaN at xi_tau below ~1e-200 or past ~1e17 trials
+            return float(2 * n), 1.0, ("vacuous-e-tau",)
     if e_tau > 0.5:
         return float(2 * n), e_tau, ("vacuous-e-tau",)
     big_e = e_tau * (1.0 - e_tau)
@@ -271,8 +275,9 @@ def run_zigzag(
 
     u = u_factor(obs.n_g, obs.n_odd)
     u = min(u, 1.0)
-    n1_L = min(bounds.n1_L, float(obs.n_t))
-    n, k, flags = compute_pair_counts(n1_L, obs.n_t, u, budget)
+    # As a float on both sides: above 2**53 the int count and its float differ.
+    n_t = float(obs.n_t)
+    n, k, flags = compute_pair_counts(min(bounds.n1_L, n_t), n_t, u, budget)
     if n <= 0:
         return _dead(flags + ("zero-pairs",))
     r = compute_r(n, k, budget.eps_def)

@@ -220,15 +220,26 @@ def test_cli_tables_command_small_budget():
     assert cp.stdout.count("Benchmark rates") == 2
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-def test_cli_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, raw):
-    monkeypatch.setenv("SNSKIT_THREADS", raw)
+@pytest.mark.parametrize("key", ["exp.M_slices", "opt.restarts", "opt.seed"])
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "2.7"])
+def test_cli_int_key_rejects_non_integral_values(tmp_path, capsys, key, raw):
+    path = _write(tmp_path, BASE_CONFIG)
+    assert main(["optimize", "--config", path, "--set", f"{key}={raw}"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: key {key!r}: {raw!r}")
+
+
+def test_int_keys_read_integral_floats(tmp_path):
+    cfg = parse_config(_write(tmp_path, BASE_CONFIG),
+                       overrides=["opt.max_evals=1e3", "exp.M_slices=32.0"])
+    assert cfg.max_evals == 1000 and type(cfg.max_evals) is int
+    assert cfg.exp.M_slices == 32 and type(cfg.exp.M_slices) is int
+
+
+def test_cli_intensity_box_above_the_source_limit_is_a_config_error(tmp_path, capsys):
     path = _write(tmp_path, BASE_CONFIG.replace("src.", "# src."))  # optimizes first
-    for argv in (["tables"], ["optimize", "--config", path], ["rate", "--config", path],
-                 ["scan", "--config", path]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: SNSKIT_THREADS") and repr(raw) in err
+    assert main(["optimize", "--config", path, "--set", "opt.mu_hi=inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: intensity box must satisfy 0 < mu_lo < mu_hi <= 690")
 
 
 def test_cli_scan_deterministic_and_refeedable(tmp_path):

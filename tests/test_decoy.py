@@ -103,6 +103,12 @@ def test_s01_vacuous_clamps_to_zero():
     assert s01 == 0.0 and s10 == 0.0
 
 
+def test_s01_vacuous_where_the_intensity_weight_underflows(golden_obs, default_budget):
+    # mu2 * mu1 * (mu2 - mu1) is 0.0 in floating point.
+    src = SourceParams.symmetric(**{**GOLDEN_SRC, "mu1": 1e-160, "mu2": 1e-150})
+    assert bound_s01_s10(golden_obs, src, default_budget) == (0.0, 0.0)
+
+
 def test_s01_monotone_in_ox_clicks(golden_obs, golden_src, default_budget):
     s01_base, _ = bound_s01_s10(golden_obs, golden_src, default_budget)
     boosted = replace(golden_obs, n_ox=golden_obs.n_ox + 1000)
@@ -259,6 +265,17 @@ def test_estimate_untagged_method_b_empty_windows(golden_exp, golden_src, defaul
     )
     b = estimate_untagged(obs, golden_exp, golden_src, default_budget, "B")
     assert b.e1ph_U == 1.0
+    assert "vacuous-phase-error" in b.flags
+
+
+def test_estimate_untagged_method_b_empty_vacuum_window(golden_exp, golden_src):
+    # Error events but a vacuum window of size 0 (p0 so small that N p0^2
+    # underflows): method B has no vacuum rate to combine, so it is vacuous.
+    obs = _obs_from_rates(
+        {"ox": 1.0, "oy": 1.0, "xo": 1.0, "yo": 1.0}, {"oo": 0.0}, N_X1=1e9, m_X1=300,
+    )
+    b = estimate_untagged(obs, golden_exp, golden_src, FREE, "B")
+    assert b.s1_L > 0.0 and b.e1ph_U == 1.0
     assert "vacuous-phase-error" in b.flags
 
 

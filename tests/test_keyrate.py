@@ -1,10 +1,13 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from snskit.budget import security_budget
-from snskit.channel import SourceParams, constraint_ratio
+from snskit.channel import ExperimentalParams, SourceParams, constraint_ratio
 from snskit.keyrate import evaluate, key_rate, plob_bounds
 from snskit.tables import TABLE2_EXP
 from tests.conftest import GOLDEN_SRC, table1_exp
@@ -48,6 +51,11 @@ def test_budget_validation():
         security_budget(eps_cor=1.0)
     with pytest.raises(ValueError):
         security_budget(not_a_field=0.5)
+    # Below the smallest normal float, 2/xi overflows to inf.
+    with pytest.raises(ValueError, match="xi_e1 = 5e-324 is below the smallest normal"):
+        security_budget(xi_e1=5e-324)
+    with pytest.raises(ValueError, match="eps_cor = 1e-310 is below the smallest normal"):
+        security_budget(eps_cor=1e-310)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +93,22 @@ def test_key_rate_matches_inline_formula():
 
 def test_key_rate_never_negative():
     assert key_rate(10, 0.4, 1e9, 0.3, _exp300(), security_budget()) == 0.0
+
+
+def test_key_rate_charges_no_correction_without_errors_at_overflowing_sizes():
+    # f * n_t_prime overflows to inf, and inf * h(0) would make the rate NaN.
+    exp = table1_exp(300.0, N=1e300, f=1e300)
+    assert key_rate(1e299, 0.1, 1e299, 0.0, exp, security_budget()) == pytest.approx(
+        2.0 * 1e299 * (1.0 - 0.4689955935892812) / 1e300, rel=1e-12)
+
+
+def test_key_rate_charges_an_underflowing_privacy_amplification_cost():
+    # sqrt(2) * 1e-200 * 1e-200 underflows to 0; the cost is still 2 * 1329.3 bits.
+    args = (2513850, 0.09756032648757614, 7258726.984254141, 2.6442353355514897e-4, _exp300())
+    tiny = key_rate(*args, security_budget(eps_PA=1e-200, eps_hat=1e-200))
+    base = key_rate(*args, security_budget())
+    cost_bits = 2.0 * (0.5 + 400.0 * math.log2(10.0)) - 2.0 * (0.5 + 20.0 * math.log2(10.0))
+    assert tiny == pytest.approx(base - 2.0 * cost_bits / _exp300().N, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +311,85 @@ def test_evaluate_large_intensities_give_finite_rate(override, mode):
     for method in ("A", "B"):
         report = evaluate(exp, src, method=method, mode=mode)
         assert math.isfinite(report.R) and report.R >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Every input that constructs gives a finite rate
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_intensity = st.floats(min_value=-300.0, max_value=math.log10(690.0)).map(lambda e: 10.0**e)
+# Positive failure probabilities construct from the smallest normal float up.
+_level = st.floats(min_value=sys.float_info.min, max_value=1.0)
+_eps = st.just(0.0) | st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True)
+
+
+@st.composite
+def _experiments(draw):
+    try:
+        return ExperimentalParams(
+            p_d=draw(_unit), e_d=draw(_unit), eta_d=draw(_unit),
+            f=draw(st.floats(min_value=1.0, max_value=1e300)),
+            alpha_f=draw(st.floats(min_value=0.0, max_value=1e6)),
+            N=draw(st.floats(min_value=1.0, max_value=1e300)),
+            L_A=draw(st.floats(min_value=0.0, max_value=1e300)),
+            L_B=draw(st.floats(min_value=0.0, max_value=1e300)),
+            M_slices=draw(st.integers(min_value=1, max_value=256)),
+            slice_mode=draw(st.sampled_from(["average", "ideal"])),
+        )
+    except ValueError:
+        assume(False)
+
+
+def _side(draw) -> list[float]:
+    # (p_z, eps, p0, p1, mu1, mu2, mu_z) with p1 and mu1 drawn as fractions
+    # of their headroom, so that most draws construct.
+    p0, mu2 = draw(_open_unit), draw(_intensity)
+    return [draw(_open_unit), draw(_open_unit), p0, draw(_open_unit) * (1.0 - p0),
+            draw(_open_unit) * mu2, mu2, draw(_intensity)]
+
+
+@st.composite
+def _sources(draw):
+    a = _side(draw)
+    try:
+        if draw(st.booleans()):
+            return SourceParams.symmetric(*a)
+        # The second party's mu1 follows from the decoy constraint, which
+        # evaluate checks before anything else, and its mu2 from a fraction.
+        b = _side(draw)
+        b[4] = a[4] / constraint_ratio(a[1], b[1], a[6], b[6])
+        b[5] = b[4] / draw(_open_unit)
+        src = SourceParams(*a, *b)
+    except (ValueError, ZeroDivisionError):
+        assume(False)
+    assume(abs(src.constraint_residual()) <= 1e-9)
+    return src
+
+
+@st.composite
+def _budgets(draw):
+    # Below 1, xi_default also sets eps_n1_prime = 6 xi_default, which must stay below 1.
+    levels = {"xi_default": draw(st.just(1.0) | st.floats(min_value=sys.float_info.min,
+                                                          max_value=1.0 / 6.0, exclude_max=True))}
+    for name in ("xi_e1", "xi_tau", "xi_tau_tilde"):
+        levels[name] = draw(_level)
+    for name in ("eps_def", "eps_cor", "eps_PA", "eps_hat"):
+        levels[name] = draw(_eps)
+    try:
+        return security_budget(**levels)
+    except ValueError:  # 6 xi_default rounded up to 1
+        assume(False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exp=_experiments(), src=_sources(), budget=_budgets())
+def test_every_constructed_input_gives_a_finite_non_negative_rate(exp, src, budget):
+    # Exact mode takes any budget; approx mode holds only at its own tail levels.
+    approx = replace(budget, xi_tau=security_budget().xi_tau,
+                     xi_tau_tilde=security_budget().xi_tau_tilde)
+    for method in ("A", "B"):
+        for mode, levels in (("exact", budget), ("approx", approx)):
+            R = evaluate(exp, src, method=method, mode=mode, budget=levels).R
+            assert math.isfinite(R) and R >= 0.0, (method, mode)

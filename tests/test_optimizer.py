@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -29,7 +28,7 @@ def _small_problem(**overrides) -> OptimizationProblem:
 
 
 def _recorded_optimize(monkeypatch, problem: OptimizationProblem):
-    """Run optimize in-process and return it with every (source, rate) evaluated."""
+    """Run optimize and return it with every (source, rate) evaluated."""
     probes: list[tuple[SourceParams, float]] = []
 
     def recording(*args, **kwargs):
@@ -37,7 +36,6 @@ def _recorded_optimize(monkeypatch, problem: OptimizationProblem):
         probes.append((report.src, report.R))
         return report
 
-    monkeypatch.setenv("SNSKIT_THREADS", "1")
     monkeypatch.setattr(optimizer, "evaluate", recording)
     return optimize(problem), probes
 
@@ -67,6 +65,15 @@ def test_space_decode_always_feasible():
             assert src.p0 + src.p1 <= 1.0
             if mode == "asymmetric":
                 assert abs(src.constraint_residual()) < 1e-9
+
+
+@pytest.mark.parametrize("mu_hi", [690.5, 1e308, float("inf")])
+def test_intensity_box_ends_at_the_largest_source_intensity(mu_hi):
+    with pytest.raises(ValueError, match="mu_lo < mu_hi <= 690"):
+        _small_problem(mu_hi=mu_hi)
+    # The top of the box itself decodes to a source, rounding and all.
+    top = _Space(_small_problem(mu_lo=0.6391042337301075, mu_hi=690.0))
+    assert top.decode([0.0] * 5 + [40.0, 40.0]).mu2 == 690.0
 
 
 def test_single_evaluation_returns_start_point():
@@ -123,7 +130,6 @@ def test_optimize_records_running_best_per_restart(monkeypatch):
         mine_of.setdefault(current[0], []).append(probes[-1])
         return report
 
-    monkeypatch.setenv("SNSKIT_THREADS", "1")
     monkeypatch.setattr(optimizer, "evaluate", recording)
     monkeypatch.setattr(optimizer, "_run_restart", run)
     monkeypatch.setattr(optimizer, "_refine", refine)
@@ -152,8 +158,7 @@ def test_optimize_records_running_best_per_restart(monkeypatch):
     assert out.rate == max(rec.rate for rec in out.restarts) > 0.0
 
 
-def test_only_the_leading_restart_is_refined(monkeypatch):
-    monkeypatch.setenv("SNSKIT_THREADS", "1")
+def test_only_the_leading_restart_is_refined():
     problem = OptimizationProblem(exp=TABLE2_EXP.at_distance(250.0), method="B", seed=1)
     out = optimize(problem)
     coarse = [optimizer._run_restart(problem, start)[0] for start in optimizer._starts(problem)]
@@ -191,7 +196,6 @@ def test_seed1_table2_stays_within_its_evaluation_count(monkeypatch):
         calls += 1
         return real_evaluate(*args, **kwargs)
 
-    monkeypatch.setenv("SNSKIT_THREADS", "1")
     monkeypatch.setattr(optimizer, "optimize", counting)
     monkeypatch.setattr(optimizer, "evaluate", counted)
     compute_table2(seed=1)
@@ -199,8 +203,7 @@ def test_seed1_table2_stays_within_its_evaluation_count(monkeypatch):
     assert sum(counts) == calls <= 6114
 
 
-def test_cold_method_b_at_440km_stops_every_restart_on_the_plateau(monkeypatch):
-    monkeypatch.setenv("SNSKIT_THREADS", "1")
+def test_cold_method_b_at_440km_stops_every_restart_on_the_plateau():
     out = optimize(OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), method="B", seed=1))
     assert out.flags == ("zero-rate-box",)
     assert out.params is None and out.rate == 0.0
@@ -212,8 +215,7 @@ def test_cold_method_b_at_440km_stops_every_restart_on_the_plateau(monkeypatch):
     assert out.evaluations == 64
 
 
-def test_cold_method_a_at_440km_keeps_its_rate(monkeypatch):
-    monkeypatch.setenv("SNSKIT_THREADS", "1")
+def test_cold_method_a_at_440km_keeps_its_rate():
     out = optimize(OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), method="A", seed=1))
     assert out.rate == 2.5243461710357386e-08  # frozen from before the plateau stop
     assert out.flags == ()
@@ -221,10 +223,9 @@ def test_cold_method_a_at_440km_keeps_its_rate(monkeypatch):
     assert sum(rec.plateau for rec in out.restarts) == 7
 
 
-def test_plateau_stop_needs_a_call_past_the_initial_simplex(monkeypatch):
+def test_plateau_stop_needs_a_call_past_the_initial_simplex():
     # With the cap at dim + 1 calls the cap stops the simplex first, so
     # nothing is flagged.
-    monkeypatch.setenv("SNSKIT_THREADS", "1")
     dim = _Space(_small_problem()).dim
     flat = optimize(_small_problem(max_evals=dim + 1)).restarts[1]
     assert not flat.plateau
@@ -444,27 +445,6 @@ def test_coarse_stop_and_resume_equal_one_straight_run(monkeypatch, name):
     assert (record.nfev, record.status) == (nfev, status) == (len(calls), status)
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-def test_bad_worker_count_is_rejected_before_any_restart(monkeypatch, raw):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(optimizer, "_run_restart", no_pool)
-    monkeypatch.setenv("SNSKIT_THREADS", raw)
-    with pytest.raises(ValueError, match=f"SNSKIT_THREADS .* got '{raw}'"):
-        optimize(_small_problem())
-
-
-@pytest.mark.parametrize("raw, want", [(None, 1), ("1", 1), ("2", 2)])
-def test_worker_count_reads_positive_integers(monkeypatch, raw, want):
-    if raw is None:
-        monkeypatch.delenv("SNSKIT_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SNSKIT_THREADS", raw)
-    assert optimizer._worker_count() == want
-
-
 # Tie-break order the optimizer's frozen results rest on: every first-party
 # field, then every second-party field.
 _TIE_BREAK_FIELDS = (
@@ -558,45 +538,11 @@ def test_scan_asymmetric_positive_rates_over_range():
     assert all(pt.params is not None for pt in pts)
 
 
-def test_worker_count_does_not_change_result(monkeypatch):
-    monkeypatch.setenv("SNSKIT_THREADS", "1")
-    serial = optimize(_small_problem(restarts=2, max_evals=60))
-    monkeypatch.setenv("SNSKIT_THREADS", "2")
-    parallel = optimize(_small_problem(restarts=2, max_evals=60))
-    assert serial.rate == parallel.rate
-    assert serial.restarts == parallel.restarts
-    # The comparison covers a plateau record made in a worker process.
-    assert [rec.plateau for rec in parallel.restarts] == [False, True]
-
-
-@pytest.mark.parametrize("threads, restarts, want", [("32", 3, 3), ("2", 3, 2)])
-def test_worker_pool_is_no_larger_than_the_restart_count(monkeypatch, threads, restarts, want):
-    sizes: list[int] = []
-
-    class SerialPool:
-        """Stands in for the process pool: records its size, maps in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setenv("SNSKIT_THREADS", threads)
-    out = optimize(_small_problem(restarts=restarts, max_evals=20))
-    assert sizes == [want]
-    assert len(out.restarts) == restarts
-
-
 def test_import_loads_no_scipy():
-    code = "import sys, snskit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # Nor a process pool's modules: restarts run in the calling process.
+    roots = ("scipy", "multiprocessing", "concurrent.futures")
+    code = ("import sys, snskit; "
+            f"print(sorted(m for m in sys.modules if m.startswith({roots!r})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -623,6 +569,6 @@ def test_optimize_and_cli_scan_load_no_scipy_optimize(tmp_path):
         "print('scipy.optimize' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         timeout=120, env={**os.environ, "SNSKIT_THREADS": "1"})
+                         timeout=120)
     assert out.stdout.strip() == "False"
     assert csv.read_text().count("\n") == 2  # header and one row

@@ -220,6 +220,13 @@ def test_M_bar_s_monotone_in_inputs():
     assert all(b >= a for a, b in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize("mode", ["approx", "exact"])
+def test_M_bar_s_zero_errors_before_pairing(mode):
+    # M_bar = 0 comes from a fluctuation-free xi_e1 at e1ph_U = 0.
+    assert compute_M_bar(1000, 0.0, FREE) == 0
+    assert compute_M_bar_s(1000, 10.0, 0, mode, BUDGET) == (10.0, 0.0, ("zero-error-limit",))
+
+
 def test_M_bar_s_validation():
     with pytest.raises(ValueError):
         compute_M_bar_s(1000, 2000.0, 10, "approx", BUDGET)
@@ -327,6 +334,29 @@ def test_run_zigzag_approx_rejects_other_tail_levels_before_short_circuit(golden
     )
     with pytest.raises(ValueError, match='mode="exact"'):
         run_zigzag(empty, golden_obs, security_budget(xi_tau=1e-4), "approx")
+
+
+def test_run_zigzag_clamps_untagged_count_above_2_to_the_53(golden_obs, default_budget):
+    from dataclasses import replace
+
+    from snskit.decoy import UntaggedBounds
+
+    # float(2**58 + 33) rounds up past the int count, which the clamp on
+    # n1_L must not carry into the pair counts.
+    obs = replace(golden_obs, n_c0=2**58 + 33, n_c1=0, n_v=0, n_d=0)
+    assert float(obs.n_t) > obs.n_t
+    bounds = UntaggedBounds(
+        s01_L=0.1, s10_L=0.1, s1_L=0.1, n01_L=float(obs.n_t), n10_L=float(obs.n_t),
+        e1ph_U=0.01, method="A",
+    )
+    z = run_zigzag(bounds, obs, default_budget, "approx")
+    assert "k-degenerate" in z.flags  # every bit untagged: the pair counts ran
+
+
+def test_M_bar_s_exact_vacuous_where_the_inverse_fails():
+    # scipy's betaincinv returns NaN for I_p(3, 98) = 1e-250.
+    budget = security_budget(xi_tau=1e-250)
+    assert compute_M_bar_s(50, 0.0, 3, "exact", budget) == (100.0, 1.0, ("vacuous-e-tau",))
 
 
 def test_run_zigzag_dead_branch(golden_obs, default_budget):
