@@ -215,8 +215,11 @@ class ObservedStats:
     counts and ``n_*`` one-detector heralded counts; N_X1 and m_X1 are the
     size and wrong-click count of the phase-matched mu1 windows, and
     n_c0, n_c1, n_v, n_d the signal-window counts (see simulate_z_counts).
-    Nothing derived from other fields is stored: an estimator divides a
-    count by its window size, and n_t sums the signal-window counts.
+    The pairing outcomes n_g, n_odd, n_t_prime and E_prime are stored,
+    although ``simulate`` derives them from the four signal-window counts
+    through simulate_aopp_counts.  Nothing else derived is stored: an
+    estimator divides a count by its window size, and n_t sums the
+    signal-window counts.
     """
 
     N_oo: float

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .channel import SourceParams
 from .config import RunConfig, parse_config
@@ -78,63 +78,47 @@ def _report_lines(report: KeyRateReport) -> "list[str]":
     return [f"{k:<{width}}  {v}" for k, v in rows]
 
 
-def _problem(cfg: RunConfig, method: str, zigzag: str, seed: int) -> OptimizationProblem:
-    return OptimizationProblem(
-        exp=cfg.exp,
-        mode=cfg.opt_mode,
-        method=method,
-        zigzag_mode=zigzag,
-        security=cfg.budget,
-        restarts=cfg.restarts,
-        max_evals=cfg.max_evals,
-        seed=seed,
-        x0=cfg.src,
-        **cfg.box,
+def _report(problem: OptimizationProblem, src: SourceParams) -> int:
+    """Evaluate ``src`` under the problem's settings and print the report."""
+    report = evaluate(
+        problem.exp, src, method=problem.method, mode=problem.zigzag_mode,
+        budget=problem.security,
     )
-
-
-def cmd_rate(cfg: RunConfig, method: str, zigzag: str, seed: int) -> int:
-    if cfg.src is not None:
-        report = evaluate(cfg.exp, cfg.src, method=method, mode=zigzag, budget=cfg.budget)
-    else:
-        out = optimize(_problem(cfg, method, zigzag, seed))
-        if out.params is None:
-            print("optimization found no positive rate anywhere in the box")
-            return EXIT_ZERO_RATE
-        report = evaluate(cfg.exp, out.params, method=method, mode=zigzag, budget=cfg.budget)
     print("\n".join(_report_lines(report)))
     return EXIT_OK if report.R > 0.0 else EXIT_ZERO_RATE
 
 
-def cmd_optimize(cfg: RunConfig, method: str, zigzag: str, seed: int) -> int:
-    out = optimize(_problem(cfg, method, zigzag, seed))
+def cmd_rate(problem: OptimizationProblem) -> int:
+    src = problem.x0 if problem.x0 is not None else optimize(problem).params
+    if src is None:
+        print("optimization found no positive rate anywhere in the box")
+        return EXIT_ZERO_RATE
+    return _report(problem, src)
+
+
+def cmd_optimize(problem: OptimizationProblem) -> int:
+    out = optimize(problem)
     print(f"evaluations  {out.evaluations}")
     if out.params is None:
         print("best_R       0.0  (no positive rate found)")
         return EXIT_ZERO_RATE
     for name in _PARAM_FIELDS:
         print(f"{name:<12} {getattr(out.params, name):.17g}")
-    report = evaluate(cfg.exp, out.params, method=method, mode=zigzag, budget=cfg.budget)
-    print("\n".join(_report_lines(report)))
-    return EXIT_OK if report.R > 0.0 else EXIT_ZERO_RATE
+    return _report(problem, out.params)
 
 
-def _scan_csv_rows(cfg: RunConfig, zigzag: str, seed: int) -> "list[str]":
-    param_cols = _PARAM_FIELDS[:7] if cfg.opt_mode == "symmetric" else _PARAM_FIELDS
-    header = "L_km,R_A,R_B,plob1,plob2," + ",".join(param_cols)
-    rows = [header]
-    if not cfg.distances:
-        return rows
-    by_method = {}
-    for method in ("A", "B"):
-        prob = _problem(cfg, method, zigzag, seed)
-        by_method[method] = scan(prob, list(cfg.distances), delta_L=cfg.delta_L)
-    for pt_a, pt_b in zip(by_method["A"], by_method["B"]):
+def _scan_csv_rows(cfg: RunConfig) -> "list[str]":
+    problem = cfg.problem
+    param_cols = _PARAM_FIELDS[:7] if problem.mode == "symmetric" else _PARAM_FIELDS
+    rows = ["L_km,R_A,R_B,plob1,plob2," + ",".join(param_cols)]
+    points_a, points_b = (
+        scan(replace(problem, method=method), list(cfg.distances), delta_L=cfg.delta_L)
+        for method in ("A", "B")
+    )
+    for pt_a, pt_b in zip(points_a, points_b):
         best = pt_b.params if pt_b.params is not None else pt_a.params
-        if best is None:
-            params = ["nan"] * len(param_cols)
-        else:
-            params = [f"{getattr(best, name):.17g}" for name in param_cols]
+        params = (["nan"] * len(param_cols) if best is None
+                  else [f"{getattr(best, name):.17g}" for name in param_cols])
         rows.append(
             f"{pt_a.L_total:.6g},{_sci(pt_a.rate)},{_sci(pt_b.rate)},"
             f"{_sci(pt_a.plob1)},{_sci(pt_a.plob2)}," + ",".join(params)
@@ -142,17 +126,16 @@ def _scan_csv_rows(cfg: RunConfig, zigzag: str, seed: int) -> "list[str]":
     return rows
 
 
-def cmd_scan(cfg: RunConfig, zigzag: str, seed: int, out_path: "str | None") -> int:
-    rows = _scan_csv_rows(cfg, zigzag, seed)
-    text = "\n".join(rows) + "\n"
-    if out_path is None:
+def cmd_scan(cfg: RunConfig) -> int:
+    text = "\n".join(_scan_csv_rows(cfg)) + "\n"
+    if cfg.out is None:
         sys.stdout.write(text)
         return EXIT_OK
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as err:
-        print(f"cannot write {out_path!r}: {err}", file=sys.stderr)
+        print(f"cannot write {cfg.out!r}: {err}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
@@ -190,11 +173,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        p.add_argument("--config", required=needs_config, help="run configuration file")
-        p.add_argument("--method", choices=("A", "B"), help="phase-error estimator")
-        p.add_argument("--mode", choices=("approx", "exact"), help="pairing-stage accounting")
-        p.add_argument("--seed", type=int, help="optimizer seed")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="run configuration file")
+        p.add_argument("--method", choices=("A", "B"), help="phase-error estimator (run.method)")
+        p.add_argument("--mode", choices=("approx", "exact"), help="pairing stage (run.zigzag)")
+        p.add_argument("--seed", type=int, help="optimizer seed (opt.seed)")
         p.add_argument(
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override one config key (repeatable)",
@@ -204,12 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("optimize", help="optimize source parameters"))
     p_scan = sub.add_parser("scan", help="optimize along the configured distance grid")
     add_common(p_scan)
-    p_scan.add_argument("--out", help="CSV output path (default: stdout)")
+    p_scan.add_argument("--out", help="CSV output path (run.out; default: stdout)")
 
     p_tables = sub.add_parser("tables", help="recompute the built-in benchmark tables")
     p_tables.add_argument("--seed", type=int, default=1)
-    p_tables.add_argument("--restarts", type=int, default=8)
-    p_tables.add_argument("--max-evals", type=int, default=5000)
+    p_tables.add_argument("--restarts", type=int, default=OptimizationProblem.restarts)
+    p_tables.add_argument("--max-evals", type=int, default=OptimizationProblem.max_evals)
 
     p_plob = sub.add_parser("plob", help="print repeater-less bounds")
     p_plob.add_argument("distances", nargs="+", type=float, help="total distances in km")
@@ -225,17 +208,17 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if args.command == "tables":
             return cmd_tables(args.seed, args.restarts, args.max_evals)
-        cfg = parse_config(args.config, overrides=args.set)
-        method = args.method or cfg.method
-        zigzag = args.mode or cfg.zigzag
-        seed = args.seed if args.seed is not None else cfg.seed
+        # Each flag overrides its config key, after every --set.
+        flags = {"run.method": args.method, "run.zigzag": args.mode,
+                 "opt.seed": args.seed, "run.out": getattr(args, "out", None)}
+        flags = {key: str(val) for key, val in flags.items() if val is not None}
+        cfg = parse_config(args.config, overrides=args.set, flags=flags)
         if args.command == "rate":
-            return cmd_rate(cfg, method, zigzag, seed)
+            return cmd_rate(cfg.problem)
         if args.command == "optimize":
-            return cmd_optimize(cfg, method, zigzag, seed)
+            return cmd_optimize(cfg.problem)
         if args.command == "scan":
-            out_path = args.out if args.out is not None else cfg.out
-            return cmd_scan(cfg, zigzag, seed, out_path)
+            return cmd_scan(cfg)
     except ValueError as err:  # ConfigError included
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,17 +4,21 @@ The format is one ``section.key = value`` assignment per line, ``#`` starts
 a comment, blank lines are ignored.  Sections: ``exp.`` for hardware,
 ``src.`` for fixed source parameters (``_b`` suffix for the second party),
 ``opt.`` for optimization settings, ``budget.`` for failure probabilities
-and ``run.`` for method/mode/output defaults that command-line flags can
-override (``--seed`` overrides ``opt.seed``).  Unknown keys are rejected
-with the offending line number.
+and ``run.`` for the method, the pairing-stage mode and the output path.
+Unknown keys are rejected with the offending line number.
+
+The ``exp.``, ``src.`` and ``budget.`` sections, the search keys of
+``opt.``, ``run.method`` and ``run.zigzag`` build one OptimizationProblem;
+only keys that are set are passed, so every default is the dataclass's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .budget import SecurityBudget, security_budget
 from .channel import ExperimentalParams, SourceParams
+from .optimizer import OptimizationProblem
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_assignments"]
 
@@ -23,10 +27,9 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-_EXP_KEYS = {
-    "p_d": float, "e_d": float, "eta_d": float, "f": float, "alpha_f": float,
-    "N": float, "L_A": float, "L_B": float, "M_slices": int, "slice_mode": str,
-}
+_TYPES = {"float": float, "int": int, "str": str}
+_EXP_KEYS = {f.name: _TYPES[f.type] for f in fields(ExperimentalParams)}
+_EXP_REQUIRED = frozenset(f.name for f in fields(ExperimentalParams) if f.default is MISSING)
 _SRC_KEYS = {f.name: float for f in fields(SourceParams)}
 _SRC_SIDE = tuple(name for name in _SRC_KEYS if not name.endswith("_b"))
 _OPT_KEYS = {
@@ -48,21 +51,29 @@ _SECTIONS = {
 
 @dataclass
 class RunConfig:
-    """Parsed configuration; ``src`` is None when only optimization is set up."""
+    """Parsed configuration: the search problem (``problem.x0`` is the fixed
+    source, None when only optimization is set up), the scan grid with its
+    fixed L_A - L_B, and the output path."""
 
-    exp: ExperimentalParams
-    src: SourceParams | None
-    budget: SecurityBudget
-    method: str = "A"
-    zigzag: str = "approx"
-    seed: int = 0
-    out: str | None = None
-    opt_mode: str = "symmetric"
-    restarts: int = 8
-    max_evals: int = 5000
-    delta_L: float = 0.0
-    distances: tuple[float, ...] = field(default_factory=tuple)
-    box: dict = field(default_factory=dict)
+    problem: OptimizationProblem
+    distances: tuple[float, ...]
+    delta_L: float
+    out: str | None
+
+
+def _assignment(text: str, where: str) -> tuple[str, str]:
+    """Split one ``section.key = value`` and check its key; ``where`` prefixes errors."""
+    if "=" not in text:
+        raise ConfigError(f"{where}expected 'section.key = value', got {text!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    if "." not in key:
+        raise ConfigError(f"{where}key {key!r} is missing its section prefix")
+    section, name = key.split(".", 1)
+    if section not in _SECTIONS:
+        raise ConfigError(f"{where}unknown section {section!r}")
+    if name not in _SECTIONS[section]:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    return key, value
 
 
 def parse_assignments(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -72,17 +83,7 @@ def parse_assignments(text: str, origin: str = "<config>") -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{origin}:{lineno}: expected 'section.key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if "." not in key:
-            raise ConfigError(f"{origin}:{lineno}: key {key!r} is missing its section prefix")
-        section, name = key.split(".", 1)
-        table = _SECTIONS.get(section)
-        if table is None:
-            raise ConfigError(f"{origin}:{lineno}: unknown section {section!r}")
-        if name not in table:
-            raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
+        key, value = _assignment(line, f"{origin}:{lineno}: ")
         if key in values:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
         values[key] = value
@@ -94,12 +95,17 @@ def _convert(key: str, value: str):
     typ = _SECTIONS[section][name]
     if typ is str:
         return value
+    if typ is int:
+        try:
+            return int(value)  # exact; forms such as 1e3 go through float below
+        except ValueError:
+            pass
     try:
         number = float(value)
     except ValueError as err:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {typ.__name__}") from err
     if typ is int:
-        # Parsed as a float so that 1e3 reads as 1000; inf, nan and fractions fail.
+        # So 1e3 reads as 1000; inf, nan and fractions fail.
         if not number.is_integer():
             raise ConfigError(f"key {key!r}: {value!r} is not a finite integer")
         return int(number)
@@ -108,95 +114,68 @@ def _convert(key: str, value: str):
 
 def build_config(values: dict[str, str]) -> RunConfig:
     """Turn a validated assignment map into typed run settings."""
-    typed = {key: _convert(key, raw) for key, raw in values.items()}
+    typed: dict[str, dict] = {section: {} for section in _SECTIONS}
+    for key, raw in values.items():
+        section, name = key.split(".", 1)
+        typed[section][name] = _convert(key, raw)
 
-    exp_kwargs = {name: typed[f"exp.{name}"] for name in _EXP_KEYS if f"exp.{name}" in typed}
-    missing = {"p_d", "e_d", "eta_d", "f", "alpha_f", "N", "L_A", "L_B"} - set(exp_kwargs)
+    missing = _EXP_REQUIRED - set(typed["exp"])
     if missing:
         raise ConfigError(f"missing required exp keys: {', '.join(sorted(missing))}")
     try:
-        exp = ExperimentalParams(**exp_kwargs)
+        exp = ExperimentalParams(**typed["exp"])
     except ValueError as err:
         raise ConfigError(f"invalid exp parameters: {err}") from err
 
-    src_kwargs = {name: typed[f"src.{name}"] for name in _SRC_KEYS if f"src.{name}" in typed}
+    src_kwargs = typed["src"]
     src: SourceParams | None = None
     if src_kwargs:
         base = {k: v for k, v in src_kwargs.items() if not k.endswith("_b")}
         missing_src = set(_SRC_SIDE) - set(base)
         if missing_src:
             raise ConfigError(f"missing required src keys: {', '.join(sorted(missing_src))}")
-        full = {k: src_kwargs.get(k + "_b", base[k]) for k in _SRC_SIDE}
+        side_b = {k + "_b": src_kwargs.get(k + "_b", base[k]) for k in _SRC_SIDE}
         try:
-            src = SourceParams(**base, **{k + "_b": v for k, v in full.items()})
+            src = SourceParams(**base, **side_b)
         except ValueError as err:
             raise ConfigError(f"invalid src parameters: {err}") from err
 
-    budget_kwargs = {
-        name: typed[f"budget.{name}"] for name in _BUDGET_KEYS if f"budget.{name}" in typed
-    }
     try:
-        budget = security_budget(**budget_kwargs)
+        budget = security_budget(**typed["budget"])
     except ValueError as err:
         raise ConfigError(f"invalid budget parameters: {err}") from err
 
+    search = typed["opt"]
     distances: tuple[float, ...] = ()
-    if "opt.distances" in typed:
-        text = typed["opt.distances"].strip()
-        if text:
-            try:
-                distances = tuple(float(part) for part in text.split(","))
-            except ValueError as err:
-                raise ConfigError(f"opt.distances: cannot parse {text!r}") from err
+    text = search.pop("distances", "").strip()
+    if text:
+        try:
+            distances = tuple(float(part) for part in text.split(","))
+        except ValueError as err:
+            raise ConfigError(f"opt.distances: cannot parse {text!r}") from err
+    delta_L = search.pop("delta_L", 0.0)
 
-    opt_mode = typed.get("opt.mode", "symmetric")
-    if opt_mode not in ("symmetric", "asymmetric"):
-        raise ConfigError(f"opt.mode must be 'symmetric' or 'asymmetric', got {opt_mode!r}")
-    method = typed.get("run.method", "A")
-    if method not in ("A", "B"):
-        raise ConfigError(f"run.method must be 'A' or 'B', got {method!r}")
-    zigzag = typed.get("run.zigzag", "approx")
-    if zigzag not in ("approx", "exact"):
-        raise ConfigError(f"run.zigzag must be 'approx' or 'exact', got {zigzag!r}")
-
-    box = {
-        name: typed[f"opt.{name}"]
-        for name in ("mu_lo", "mu_hi", "p_lo", "p_hi")
-        if f"opt.{name}" in typed
-    }
-    return RunConfig(
-        exp=exp,
-        src=src,
-        budget=budget,
-        method=method,
-        zigzag=zigzag,
-        seed=typed.get("opt.seed", 0),
-        out=typed.get("run.out"),
-        opt_mode=opt_mode,
-        restarts=typed.get("opt.restarts", 8),
-        max_evals=typed.get("opt.max_evals", 5000),
-        delta_L=typed.get("opt.delta_L", 0.0),
-        distances=distances,
-        box=box,
-    )
+    run = typed["run"]
+    out = run.pop("out", None)
+    if "zigzag" in run:
+        search["zigzag_mode"] = run.pop("zigzag")
+    try:
+        problem = OptimizationProblem(exp=exp, security=budget, x0=src, **search, **run)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return RunConfig(problem, distances, delta_L, out)
 
 
-def parse_config(path: str, overrides: "list[str] | None" = None) -> RunConfig:
-    """Read a config file and apply ``key=value`` override strings."""
+def parse_config(path: str, overrides: "list[str] | None" = None,
+                 flags: "dict[str, str] | None" = None) -> RunConfig:
+    """Read a config file, apply ``key=value`` override strings, then the
+    ``flags`` {key: value} map, whose values are taken verbatim."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     values = parse_assignments(text, origin=path)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} must look like section.key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if "." not in key:
-            raise ConfigError(f"override key {key!r} is missing its section prefix")
-        section, name = key.split(".", 1)
-        if section not in _SECTIONS or name not in _SECTIONS[section]:
-            raise ConfigError(f"override references unknown key {key!r}")
-        values[key] = value
+    values.update(_assignment(item, "override: ") for item in overrides or [])
+    values.update(flags or {})
     return build_config(values)

@@ -36,7 +36,9 @@ VACUOUS_FLAGS = frozenset({
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Everything one evaluation produces, from raw counts to the final rate."""
+    """Everything one evaluation produces, from raw counts to the final rate;
+    the repeater-less bounds, R's ratios to them and ``secure`` follow from
+    ``exp`` and ``R``."""
 
     exp: ExperimentalParams
     src: SourceParams
@@ -47,12 +49,27 @@ class KeyRateReport:
     bounds: UntaggedBounds
     zigzag: ZigzagResult
     R: float
-    plob1: float
-    plob2: float
-    ratio1: float
-    ratio2: float
-    secure: bool
     flags: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def plob1(self) -> float:
+        return plob_bounds(self.exp.L_total, self.exp.alpha_f, self.exp.eta_d)[0]
+
+    @property
+    def plob2(self) -> float:
+        return plob_bounds(self.exp.L_total, self.exp.alpha_f, self.exp.eta_d)[1]
+
+    @property
+    def ratio1(self) -> float:
+        return self.R / self.plob1 if self.plob1 > 0 else 0.0
+
+    @property
+    def ratio2(self) -> float:
+        return self.R / self.plob2 if self.plob2 > 0 else 0.0
+
+    @property
+    def secure(self) -> bool:
+        return self.R > 0.0
 
 
 def key_rate(
@@ -142,12 +159,7 @@ def evaluate(
         flags += ("negative-secret-margin",)
     if any(f in VACUOUS_FLAGS for f in flags):
         rate = 0.0
-    plob1, plob2 = plob_bounds(exp.L_total, exp.alpha_f, exp.eta_d)
     return KeyRateReport(
         exp=exp, src=src, method=method, mode=mode, budget=budget,
-        obs=obs, bounds=bounds, zigzag=zz,
-        R=rate, plob1=plob1, plob2=plob2,
-        ratio1=rate / plob1 if plob1 > 0 else 0.0,
-        ratio2=rate / plob2 if plob2 > 0 else 0.0,
-        secure=rate > 0.0, flags=flags,
+        obs=obs, bounds=bounds, zigzag=zz, R=rate, flags=flags,
     )

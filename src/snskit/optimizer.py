@@ -75,7 +75,7 @@ class OptimizationProblem:
 
     mode         "symmetric" ties both parties' sources; "asymmetric" frees
                  them, minus the constraint-eliminated mu1_b
-    method       phase-error estimator passed through to the evaluation
+    method       "A" or "B", the phase-error estimator passed to the evaluation
     zigzag_mode  "approx" or "exact" pairing-stage accounting
     max_evals    cap on objective calls per restart, infeasible corners
                  included; the leader's coarse and resumed phases share it
@@ -99,6 +99,10 @@ class OptimizationProblem:
     def __post_init__(self) -> None:
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError(f"mode must be 'symmetric' or 'asymmetric', got {self.mode!r}")
+        if self.method not in ("A", "B"):
+            raise ValueError(f"method must be 'A' or 'B', got {self.method!r}")
+        if self.zigzag_mode not in ("approx", "exact"):
+            raise ValueError(f"zigzag_mode must be 'approx' or 'exact', got {self.zigzag_mode!r}")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be positive")
         if not (0.0 < self.mu_lo < self.mu_hi <= _MAX_INTENSITY):

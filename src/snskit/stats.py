@@ -44,6 +44,7 @@ _NEWTON_RTOL = 1e-8  # relative step after which a quadratic step adds nothing
 _NEWTON_MAX_STEPS = 50
 _SUMMATION_LIMIT = 10_000  # below this trial count, sum the tail in log space
 _LOG_TERM_CUTOFF = 50.0  # past the mode, a term this far below the peak ends the sum
+_BISECT_LOG_TOL = 1e-12  # width in ln(p), i.e. relative width in p, that ends a bisection
 
 
 @dataclass(frozen=True)
@@ -309,6 +310,9 @@ def invert_tail_for_p(trials: int, threshold: int, target: float) -> float:
     The upper tail is the regularized incomplete beta function
     I_p(threshold, trials - threshold + 1), strictly increasing in p for
     1 <= threshold <= trials, so the unique root is its inverse in p.
+    Where scipy's inverse returns NaN, a bisection in ln(p) on the forward
+    tail finds the root and returns it rounded up; the result is NaN only
+    where the tail itself cannot be evaluated.
     """
     if not (0.0 < target < 1.0):
         raise ValueError(f"target tail probability must lie in (0, 1), got {target!r}")
@@ -319,7 +323,29 @@ def invert_tail_for_p(trials: int, threshold: int, target: float) -> float:
         )
     from scipy.special import betaincinv  # deferred: import snskit loads no scipy
 
-    return float(betaincinv(threshold, trials - threshold + 1, target))
+    p = float(betaincinv(threshold, trials - threshold + 1, target))
+    if math.isnan(p):  # scipy's inverse fails at levels below about 1e-200
+        p = _bisect_tail_for_p(trials, threshold, target)
+    return p
+
+
+def _bisect_tail_for_p(trials: int, threshold: int, target: float) -> float:
+    """Root of Pr(X >= threshold) = target by bisection in ln(p), rounded up
+    (NaN where the tail cannot be evaluated).  The bracket runs from the
+    union bound C(n, m) p^m = target, where the tail is at most target, to 1."""
+    n, m = trials, threshold
+    log_choose = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+    lo, hi = (math.log(target) - log_choose) / m, 0.0
+    while hi - lo > _BISECT_LOG_TOL:
+        mid = 0.5 * (lo + hi)
+        tail = binomial_tail(TailQuery(n, math.exp(mid), m))
+        if math.isnan(tail):
+            return math.nan
+        if tail < target:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(hi)
 
 
 def invert_tail_for_m(trials: int, success_prob: float, target: float) -> int:

@@ -10,11 +10,10 @@ values, reference values and their ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .budget import SecurityBudget, security_budget
+from .budget import security_budget
 from .channel import ExperimentalParams
-from .keyrate import plob_bounds
 from .optimizer import OptimizationProblem, scan
 
 __all__ = [
@@ -88,46 +87,39 @@ class TableRow:
         return self.rate_b / self.ref_b if self.ref_b else float("nan")
 
 
-def _optimize_both(
-    exp: ExperimentalParams,
+def _rows(
+    problem: OptimizationProblem,
     distances: "tuple[float, ...]",
-    budget: SecurityBudget | None,
-    seed: int,
-    restarts: int,
-    max_evals: int,
-) -> dict[float, tuple[float, float]]:
-    rates: dict[float, list[float]] = {L: [0.0, 0.0] for L in distances}
-    for idx, method in enumerate(("A", "B")):
-        prob = OptimizationProblem(
-            exp=exp, method=method, security=budget,
-            restarts=restarts, max_evals=max_evals, seed=seed,
-        )
-        for pt in scan(prob, list(distances)):
-            rates[pt.L_total][idx] = pt.rate
-    return {L: (v[0], v[1]) for L, v in rates.items()}
+    references: "list[tuple[float, float]]",
+) -> list[TableRow]:
+    """Scan method A, then method B, and pair each distance with its
+    published (A, B) rates."""
+    points_a, points_b = (
+        scan(replace(problem, method=method), list(distances)) for method in ("A", "B")
+    )
+    return [
+        TableRow(a.L_total, a.rate, b.rate, ref_a, ref_b, a.plob1, a.plob2)
+        for a, b, (ref_a, ref_b) in zip(points_a, points_b, references)
+    ]
 
 
-def compute_table2(seed: int = 1, restarts: int = 8, max_evals: int = 5000) -> list[TableRow]:
+def compute_table2(seed: int = 1, restarts: int = OptimizationProblem.restarts,
+                   max_evals: int = OptimizationProblem.max_evals) -> list[TableRow]:
     """Optimized rates for both methods at the four benchmark distances."""
-    rates = _optimize_both(TABLE2_EXP, TABLE2_DISTANCES, None, seed, restarts, max_evals)
-    rows = []
-    for L in TABLE2_DISTANCES:
-        plob1, plob2 = plob_bounds(L, TABLE2_EXP.alpha_f, TABLE2_EXP.eta_d)
-        ra, rb = rates[L]
-        ref_a, ref_b = TABLE2_REFERENCE[L]
-        rows.append(TableRow(L, ra, rb, ref_a, ref_b, plob1, plob2))
-    return rows
+    problem = OptimizationProblem(exp=TABLE2_EXP, seed=seed, restarts=restarts,
+                                  max_evals=max_evals)
+    return _rows(problem, TABLE2_DISTANCES, [TABLE2_REFERENCE[L] for L in TABLE2_DISTANCES])
 
 
-def compute_table3(seed: int = 1, restarts: int = 8, max_evals: int = 5000) -> list[TableRow]:
+def compute_table3(seed: int = 1, restarts: int = OptimizationProblem.restarts,
+                   max_evals: int = OptimizationProblem.max_evals) -> list[TableRow]:
     """Optimized rates for the two published-hardware comparison points."""
     rows = []
-    for L, exp, xi, (ref_a, ref_b) in TABLE3_CASES:
+    for L, exp, xi, references in TABLE3_CASES:
         budget = security_budget(xi_default=xi)
-        rates = _optimize_both(exp, (L,), budget, seed, restarts, max_evals)
-        ra, rb = rates[L]
-        plob1, plob2 = plob_bounds(L, exp.alpha_f, exp.eta_d)
-        rows.append(TableRow(L, ra, rb, ref_a, ref_b, plob1, plob2))
+        problem = OptimizationProblem(exp=exp, security=budget, seed=seed,
+                                      restarts=restarts, max_evals=max_evals)
+        rows += _rows(problem, (L,), [references])
     return rows
 
 

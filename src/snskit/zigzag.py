@@ -209,7 +209,7 @@ def compute_M_bar_s(
         e_tau = M_bar / trials_pre
     else:
         e_tau = invert_tail_for_p(trials_pre, M_bar, budget.xi_tau)
-        if math.isnan(e_tau):  # scipy's inverse: NaN at xi_tau below ~1e-200 or past ~1e17 trials
+        if math.isnan(e_tau):  # the binomial tail itself could not be evaluated
             return float(2 * n), 1.0, ("vacuous-e-tau",)
     if e_tau > 0.5:
         return float(2 * n), e_tau, ("vacuous-e-tau",)

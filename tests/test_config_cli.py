@@ -1,12 +1,21 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from snskit import cli
 from snskit.cli import main
-from snskit.config import ConfigError, build_config, parse_assignments, parse_config
+from snskit.config import (
+    _SECTIONS,
+    ConfigError,
+    build_config,
+    parse_assignments,
+    parse_config,
+)
 from snskit.keyrate import evaluate
+from snskit.optimizer import OptimizationProblem
 
 BASE_CONFIG = """\
 # hardware
@@ -79,25 +88,26 @@ def test_build_config_partial_src_rejected():
 
 def test_build_config_symmetric_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, BASE_CONFIG))
-    assert cfg.src is not None and cfg.src.is_symmetric()
+    problem = cfg.problem
+    assert problem.x0 is not None and problem.x0.is_symmetric()
     assert cfg.distances == (300.0,)
-    assert cfg.method == "A" and cfg.zigzag == "approx"
-    assert cfg.seed == 7  # from opt.seed
+    assert problem.method == "A" and problem.zigzag_mode == "approx"
+    assert problem.seed == 7  # from opt.seed
 
 
 def test_build_config_asymmetric_side(tmp_path):
     text = BASE_CONFIG + "src.mu_z_b = 0.45\nsrc.eps_b = 0.35\nsrc.mu1_b = 0.0479\n"
-    cfg = parse_config(_write(tmp_path, text))
-    assert not cfg.src.is_symmetric()
-    assert cfg.src.mu_z_b == 0.45
-    assert cfg.src.p_z_b == cfg.src.p_z  # unspecified side fields mirror
+    src = parse_config(_write(tmp_path, text)).problem.x0
+    assert not src.is_symmetric()
+    assert src.mu_z_b == 0.45
+    assert src.p_z_b == src.p_z  # unspecified side fields mirror
 
 
 def test_parse_config_overrides(tmp_path):
     path = _write(tmp_path, BASE_CONFIG)
-    cfg = parse_config(path, overrides=["exp.N=1e11", "run.method=B"])
-    assert cfg.exp.N == 1e11
-    assert cfg.method == "B"
+    problem = parse_config(path, overrides=["exp.N=1e11", "run.method=B"]).problem
+    assert problem.exp.N == 1e11
+    assert problem.method == "B"
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(path, overrides=["exp.bogus=1"])
 
@@ -120,14 +130,107 @@ def test_build_config_validates_values():
 
 
 def test_build_config_search_box_keys(tmp_path):
-    cfg = parse_config(
+    problem = parse_config(
         _write(tmp_path, BASE_CONFIG + "opt.mu_hi = 0.5\nopt.p_lo = 1e-3\n")
-    )
-    assert cfg.box == {"mu_hi": 0.5, "p_lo": 1e-3}
-    from snskit.cli import _problem
-
-    problem = _problem(cfg, "A", "approx", 0)
+    ).problem
+    # Only the keys that are set reach the problem; the others keep its defaults.
+    defaults = OptimizationProblem(exp=problem.exp)
+    assert (problem.mu_lo, problem.p_hi) == (defaults.mu_lo, defaults.p_hi)
     assert problem.mu_hi == 0.5 and problem.p_lo == 1e-3
+
+
+def test_readme_configuration_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for line in readme.splitlines():
+        row = re.match(r"\|\s*`(\w+)\.`\s*\|(.*)\|\s*$", line)
+        if row:
+            spans = re.findall(r"`([^`]*)`", row.group(2))
+            documented[row.group(1)] = sorted(" ".join(spans).split())
+    assert documented == {section: sorted(keys) for section, keys in _SECTIONS.items()}
+
+
+# ---------------------------------------------------------------------------
+# Command-line flags override their config keys
+
+_FLAG_CASES = [
+    # flag, key, value in the file, --set value, flag value
+    ("--method", "run.method", "A", "A", "B"),
+    ("--method", "run.method", "B", "B", "A"),
+    ("--mode", "run.zigzag", "approx", "approx", "exact"),
+    ("--mode", "run.zigzag", "exact", "exact", "approx"),
+    ("--seed", "opt.seed", "7", "8", "9"),
+    ("--out", "run.out", "file.csv", "set.csv", "flag.csv"),
+]
+
+
+def _setting(cfg, key: str) -> str:
+    problem = cfg.problem
+    return {
+        "run.method": problem.method, "run.zigzag": problem.zigzag_mode,
+        "opt.seed": str(problem.seed), "run.out": cfg.out,
+    }[key]
+
+
+@pytest.mark.parametrize("flag,key,in_file,in_set,in_flag", _FLAG_CASES)
+def test_cli_flag_beats_set_and_file(tmp_path, monkeypatch, flag, key, in_file, in_set, in_flag):
+    text = BASE_CONFIG.replace("opt.seed      = 7\n", "") + f"{key} = {in_file}\n"
+    path = _write(tmp_path, text)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan", lambda cfg: seen.append(cfg) or 0)
+    assert main(["scan", "--config", path]) == 0
+    assert main(["scan", "--config", path, "--set", f"{key}={in_set}"]) == 0
+    # The flag wins although it comes before the --set.
+    assert main(["scan", "--config", path, flag, in_flag, "--set", f"{key}={in_set}"]) == 0
+    assert [_setting(cfg, key) for cfg in seen] == [in_file, in_set, in_flag]
+
+
+@pytest.mark.parametrize("command", ["rate", "optimize"])
+def test_cli_rate_and_optimize_get_the_overridden_problem(tmp_path, monkeypatch, command):
+    path = _write(tmp_path, BASE_CONFIG + "run.method = A\nrun.zigzag = approx\n")
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda problem: seen.append(problem) or 0)
+    argv = [command, "--config", path, "--method", "B", "--mode", "exact", "--seed", "3"]
+    assert main(argv) == 0
+    (problem,) = seen
+    assert (problem.method, problem.zigzag_mode, problem.seed) == ("B", "exact", 3)
+
+
+@pytest.mark.parametrize("seed", [2**53 + 1, 10**400])
+def test_cli_seed_flag_is_exact(tmp_path, monkeypatch, seed):
+    # Past 2**53 (and past the float range) a seed read through float would change.
+    path = _write(tmp_path, BASE_CONFIG)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_optimize", lambda problem: seen.append(problem) or 0)
+    assert main(["optimize", "--config", path, "--seed", str(seed)]) == 0
+    assert main(["optimize", "--config", path, "--set", f"opt.seed={seed}"]) == 0
+    assert [problem.seed for problem in seen] == [seed, seed]
+
+
+def test_cli_out_flag_keeps_its_path_verbatim(tmp_path, monkeypatch):
+    path = _write(tmp_path, BASE_CONFIG)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan", lambda cfg: seen.append(cfg) or 0)
+    assert main(["scan", "--config", path, "--out", " spaced name.csv "]) == 0
+    assert seen[0].out == " spaced name.csv "
+
+
+@pytest.mark.parametrize(
+    "key,value", [("run.method", "C"), ("run.zigzag", "fast"), ("opt.mode", "sym")]
+)
+@pytest.mark.parametrize("command", ["rate", "optimize", "scan"])
+def test_cli_bad_search_setting_is_a_config_error(tmp_path, capsys, command, key, value):
+    path = _write(tmp_path, BASE_CONFIG)
+    assert main([command, "--config", path, "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(value) in err
+
+
+def test_cli_rate_with_a_fixed_source_checks_the_search_box(tmp_path, capsys):
+    # The search settings are checked when the config is read, for every command.
+    path = _write(tmp_path, BASE_CONFIG)
+    assert main(["rate", "--config", path, "--set", "opt.p_lo=0.5", "--set", "opt.p_hi=0.1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: probability box must satisfy")
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +334,9 @@ def test_cli_int_key_rejects_non_integral_values(tmp_path, capsys, key, raw):
 def test_int_keys_read_integral_floats(tmp_path):
     cfg = parse_config(_write(tmp_path, BASE_CONFIG),
                        overrides=["opt.max_evals=1e3", "exp.M_slices=32.0"])
-    assert cfg.max_evals == 1000 and type(cfg.max_evals) is int
-    assert cfg.exp.M_slices == 32 and type(cfg.exp.M_slices) is int
+    problem = cfg.problem
+    assert problem.max_evals == 1000 and type(problem.max_evals) is int
+    assert problem.exp.M_slices == 32 and type(problem.exp.M_slices) is int
 
 
 def test_cli_intensity_box_above_the_source_limit_is_a_config_error(tmp_path, capsys):
@@ -260,8 +364,11 @@ def test_cli_scan_deterministic_and_refeedable(tmp_path):
         f"src.{name} = {cols[name]}" for name in ("p_z", "eps", "p0", "p1", "mu1", "mu2", "mu_z")
     )
     refed_path = _write(tmp_path, refed, name="refed.cfg")
-    cfg = parse_config(refed_path)
-    rep = evaluate(cfg.exp.at_distance(float(cols["L_km"])), cfg.src, method="B", budget=cfg.budget)
+    problem = parse_config(refed_path).problem
+    rep = evaluate(
+        problem.exp.at_distance(float(cols["L_km"])), problem.x0, method="B",
+        budget=problem.security,
+    )
     assert f"{rep.R:.5e}" == cols["R_B"]
     # And literally through the rate command.
     cp = _run_cli("rate", "--config", refed_path, "--method", "B")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from snskit import keyrate
 from snskit.budget import security_budget
 from snskit.channel import ExperimentalParams, SourceParams, constraint_ratio
 from snskit.keyrate import evaluate, key_rate, plob_bounds
@@ -192,6 +193,29 @@ def test_evaluate_golden_rates(golden_exp, golden_src):
     assert rep_b.R >= rep_a.R
     assert rep_a.secure and rep_a.flags == ()
     assert rep_a.ratio1 == pytest.approx(rep_a.R / rep_a.plob1, rel=1e-12)
+
+
+def test_report_bounds_and_ratios_follow_a_replaced_rate(golden_exp, golden_src):
+    rep = evaluate(golden_exp, golden_src, method="A")
+    zero = replace(rep, R=0.0)
+    assert not zero.secure and zero.ratio1 == 0.0 and zero.ratio2 == 0.0
+    double = replace(rep, R=2.0 * rep.R)
+    assert double.secure
+    assert double.ratio1 == 2.0 * rep.R / rep.plob1
+    assert double.ratio2 == 2.0 * rep.R / rep.plob2
+    moved = replace(rep, exp=golden_exp.at_distance(400.0))
+    assert (moved.plob1, moved.plob2) == plob_bounds(400.0, 0.2, 0.3)
+
+
+def test_evaluate_does_not_compute_the_repeaterless_bounds(golden_exp, golden_src, monkeypatch):
+    # The optimizer reads only R; the bounds are derived when a report is read.
+    def refuse(*args):
+        raise AssertionError("plob_bounds called")
+
+    monkeypatch.setattr(keyrate, "plob_bounds", refuse)
+    assert evaluate(golden_exp, golden_src, method="A").R == pytest.approx(
+        2.6522458305172523e-06, rel=1e-12
+    )
 
 
 def test_evaluate_exact_mode_not_worse(golden_exp, golden_src):

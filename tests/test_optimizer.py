@@ -76,6 +76,14 @@ def test_intensity_box_ends_at_the_largest_source_intensity(mu_hi):
     assert top.decode([0.0] * 5 + [40.0, 40.0]).mu2 == 690.0
 
 
+@pytest.mark.parametrize(
+    "field,value", [("method", "C"), ("zigzag_mode", "fast"), ("mode", "sym")]
+)
+def test_problem_rejects_an_unknown_setting_at_construction(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .*got {value!r}"):
+        _small_problem(**{field: value})
+
+
 def test_single_evaluation_returns_start_point():
     problem = _small_problem(restarts=1, max_evals=1)
     out = optimize(problem)

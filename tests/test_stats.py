@@ -482,6 +482,29 @@ def test_invert_tail_for_p_matches_bisection_oracle(trials, threshold, target):
     )
 
 
+@pytest.mark.parametrize(
+    "trials,threshold,target",
+    [
+        (100, 3, 1e-250),
+        (1000, 5, 1e-260),
+        (20_000, 2, 1e-240),  # bisects on the incomplete-beta path
+    ],
+)
+def test_invert_tail_for_p_bisects_where_betaincinv_is_nan(trials, threshold, target):
+    from scipy.special import betaincinv
+
+    assert math.isnan(betaincinv(threshold, trials - threshold + 1, target))
+    p = invert_tail_for_p(trials, threshold, target)
+    assert p == pytest.approx(_oracle_p(trials, threshold, target), rel=1e-10, abs=0.0)
+    assert binomial_tail(TailQuery(trials, p, threshold)) >= target  # rounded up
+
+
+def test_invert_tail_for_p_is_nan_only_where_the_tail_is(monkeypatch):
+    monkeypatch.setattr(stats, "binomial_tail", lambda query: math.nan)
+    assert math.isnan(invert_tail_for_p(100, 3, 1e-250))
+    assert invert_tail_for_p(100, 7, 1e-3) > 0.0  # betaincinv's root needs no tail
+
+
 @pytest.mark.parametrize("trials", [1, 7, 3000, 10_001, 10**7])
 @pytest.mark.parametrize("target", [1e-12, 1e-2, 0.6])
 def test_invert_tail_for_p_single_threshold_closed_form(trials, target):

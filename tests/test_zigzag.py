@@ -353,8 +353,34 @@ def test_run_zigzag_clamps_untagged_count_above_2_to_the_53(golden_obs, default_
     assert "k-degenerate" in z.flags  # every bit untagged: the pair counts ran
 
 
-def test_M_bar_s_exact_vacuous_where_the_inverse_fails():
-    # scipy's betaincinv returns NaN for I_p(3, 98) = 1e-250.
+def test_M_bar_s_exact_finite_where_the_inverse_fails():
+    # scipy's betaincinv returns NaN for I_p(3, 98) = 1e-250, though the
+    # root exists (betainc(3, 98, 1e-85) = 1.6e-250 is finite); the
+    # bisection fallback finds it, rounded up.
+    mp = pytest.importorskip("mpmath")
+    from scipy.special import betaincinv
+
+    assert math.isnan(betaincinv(3, 98, 1e-250))
+    with mp.workdps(40):
+        log_root = mp.findroot(
+            lambda s: mp.log(mp.betainc(3, 98, 0, mp.exp(s), regularized=True))
+            - mp.log(mp.mpf("1e-250")),
+            -195.0,
+        )
+        root = float(mp.exp(log_root))
+    budget = security_budget(xi_tau=1e-250)
+    M_bar_s, e_tau, flags = compute_M_bar_s(50, 0.0, 3, "exact", budget)
+    assert flags == ()
+    assert e_tau == pytest.approx(root, rel=1e-10, abs=0.0)
+    assert binomial_tail(TailQuery(100, e_tau, 3)) >= 1e-250  # the conservative end
+    # One error among 50 pairs at E_tau ~ 1e-85 already has tail 5e-84 <= 1e-10.
+    assert M_bar_s == 1.0
+
+
+def test_M_bar_s_exact_vacuous_where_the_tail_cannot_be_evaluated(monkeypatch):
+    from snskit import stats
+
+    monkeypatch.setattr(stats, "binomial_tail", lambda query: math.nan)
     budget = security_budget(xi_tau=1e-250)
     assert compute_M_bar_s(50, 0.0, 3, "exact", budget) == (100.0, 1.0, ("vacuous-e-tau",))
 
