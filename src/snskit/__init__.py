@@ -1,6 +1,6 @@
 """Finite-key rate toolkit for sending-or-not-sending twin-field QKD with AOPP."""
 
-from .budget import SecurityBudget, security_budget
+from .budget import SecurityBudget
 from .channel import (
     ExperimentalParams,
     ObservedStats,
@@ -40,7 +40,6 @@ __all__ = [
     "simulate",
     "estimate_untagged",
     "run_zigzag",
-    "security_budget",
     "key_rate",
     "plob_bounds",
     "evaluate",

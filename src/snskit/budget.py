@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields
 
-__all__ = ["SecurityBudget", "security_budget"]
+__all__ = ["SecurityBudget"]
 
 
 @dataclass(frozen=True)
@@ -21,14 +21,14 @@ class SecurityBudget:
     eps_cor         failure probability of error correction
     eps_PA          failure probability of privacy amplification
     eps_hat         smooth-entropy chain-rule coefficient
-    eps_n1_prime    failure probability of the survived-untagged count
-                    (six Chernoff uses at xi_default)
-    eps_nk          failure probability of the pair/neglected-count pair
-                    (two Chernoff uses at xi_default)
 
-    Derived quantities (eps_e, eps_s, eps_sec, eps_tol) are exact arithmetic
-    over the fields; use :func:`security_budget` to build an instance whose
-    multi-use totals track an overridden xi_default.
+    Every xi_* level lies in (0, 1] and every eps_* level in (0, 1): a zero
+    failure probability costs infinitely many bits, so no key could meet it.
+    Derived quantities (eps_n1_prime, eps_nk, eps_e, eps_s, eps_sec,
+    eps_tol) are exact arithmetic over the fields, so the ledger always
+    describes the levels the bounds used.  At xi_default = 1, the
+    fluctuation-free diagnostic, eps_tol exceeds 1 and carries no security
+    claim.
     """
 
     xi_default: float = 1e-10
@@ -39,8 +39,6 @@ class SecurityBudget:
     eps_cor: float = 1e-10
     eps_PA: float = 1e-10
     eps_hat: float = 1e-10
-    eps_n1_prime: float = 6e-10
-    eps_nk: float = 2e-10
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -48,11 +46,21 @@ class SecurityBudget:
             if f.name.startswith("xi"):
                 if not (0.0 < v <= 1.0):
                     raise ValueError(f"{f.name} must lie in (0, 1], got {v}")
-            elif not (0.0 <= v < 1.0):
-                raise ValueError(f"{f.name} must lie in [0, 1), got {v}")
+            elif not (0.0 < v < 1.0):
+                raise ValueError(f"{f.name} must lie in (0, 1), got {v}")
             # 2/v and 1/v stay finite, so every ln(2/xi) cost does too.
-            if 0.0 < v < sys.float_info.min:
+            if v < sys.float_info.min:
                 raise ValueError(f"{f.name} = {v} is below the smallest normal float")
+
+    @property
+    def eps_n1_prime(self) -> float:
+        """Failure probability of the survived-untagged count (6 uses)."""
+        return 6.0 * self.xi_default
+
+    @property
+    def eps_nk(self) -> float:
+        """Failure probability of the pair/neglected-count pair (2 uses)."""
+        return 2.0 * self.xi_default
 
     @property
     def eps_e(self) -> float:
@@ -79,22 +87,3 @@ class SecurityBudget:
     def eps_tol(self) -> float:
         """Total composable failure probability of the produced key."""
         return self.eps_cor + self.eps_sec
-
-
-def security_budget(**overrides: float) -> SecurityBudget:
-    """Build a budget from defaults plus overrides.
-
-    The multi-use totals eps_n1_prime and eps_nk follow an overridden
-    xi_default (6 and 2 uses respectively) unless set explicitly.
-    """
-    known = {f.name for f in fields(SecurityBudget)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ValueError(f"unknown budget fields: {sorted(unknown)}")
-    values = dict(overrides)
-    if "xi_default" in values and values["xi_default"] < 1.0:
-        # xi >= 1 is the fluctuation-free diagnostic switch; its multi-use
-        # totals are meaningless, so only real budgets track the override.
-        values.setdefault("eps_n1_prime", 6.0 * values["xi_default"])
-        values.setdefault("eps_nk", 2.0 * values["xi_default"])
-    return SecurityBudget(**values)

@@ -98,7 +98,8 @@ class ExperimentalParams:
             raise ValueError(f"alpha_f must be finite and non-negative, got {self.alpha_f}")
         if not (1.0 <= self.N < math.inf):
             raise ValueError(f"N must be finite and >= 1, got {self.N}")
-        if not (0.0 <= self.L_A < math.inf and 0.0 <= self.L_B < math.inf):
+        # A finite sum keeps L_total, which plob_bounds checks, finite too.
+        if not (0.0 <= self.L_A and 0.0 <= self.L_B and self.L_A + self.L_B < math.inf):
             raise ValueError(
                 f"arm lengths must be finite and non-negative, got {self.L_A}, {self.L_B}"
             )

@@ -159,9 +159,9 @@ def cmd_tables(seed: int, restarts: int, max_evals: int) -> int:
 
 
 def cmd_plob(alpha_f: float, eta_d: float, distances: "list[float]") -> int:
+    rows = [(L, *plob_bounds(L, alpha_f, eta_d)) for L in distances]  # checks every input first
     print(f"{'L_km':>8}  {'plob1':>12}  {'plob2':>12}")
-    for L in distances:
-        plob1, plob2 = plob_bounds(L, alpha_f, eta_d)
+    for L, plob1, plob2 in rows:
         print(f"{L:>8.1f}  {_sci(plob1):>12}  {_sci(plob2):>12}")
     return EXIT_OK
 
@@ -203,9 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "plob":
-        return cmd_plob(args.alpha_f, args.eta_d, args.distances)
     try:
+        if args.command == "plob":
+            return cmd_plob(args.alpha_f, args.eta_d, args.distances)
         if args.command == "tables":
             return cmd_tables(args.seed, args.restarts, args.max_evals)
         # Each flag overrides its config key, after every --set.

@@ -14,9 +14,10 @@ only keys that are set are passed, so every default is the dataclass's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 
-from .budget import SecurityBudget, security_budget
+from .budget import SecurityBudget
 from .channel import ExperimentalParams, SourceParams
 from .optimizer import OptimizationProblem
 
@@ -141,7 +142,7 @@ def build_config(values: dict[str, str]) -> RunConfig:
             raise ConfigError(f"invalid src parameters: {err}") from err
 
     try:
-        budget = security_budget(**typed["budget"])
+        budget = SecurityBudget(**typed["budget"])
     except ValueError as err:
         raise ConfigError(f"invalid budget parameters: {err}") from err
 
@@ -153,7 +154,14 @@ def build_config(values: dict[str, str]) -> RunConfig:
             distances = tuple(float(part) for part in text.split(","))
         except ValueError as err:
             raise ConfigError(f"opt.distances: cannot parse {text!r}") from err
+    if not all(0.0 <= L < math.inf for L in distances):
+        raise ConfigError(f"opt.distances: every distance must be finite and >= 0, got {text!r}")
     delta_L = search.pop("delta_L", 0.0)
+    # Both arms, (L + delta_L) / 2 and (L - delta_L) / 2, must be non-negative.
+    if not (abs(delta_L) < math.inf and all(abs(delta_L) <= L for L in distances)):
+        raise ConfigError(
+            f"opt.delta_L: must be finite with |delta_L| at most every distance, got {delta_L}"
+        )
 
     run = typed["run"]
     out = run.pop("out", None)

@@ -6,7 +6,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .budget import SecurityBudget, security_budget
+from .budget import SecurityBudget
 from .channel import ExperimentalParams, ObservedStats, SourceParams, simulate
 from .decoy import UntaggedBounds, estimate_untagged
 from .stats import shannon_entropy
@@ -30,7 +30,6 @@ VACUOUS_FLAGS = frozenset({
     "zigzag-vacuous",
     "zero-key",
     "aopp-degenerate",
-    "zero-failure-probability",
 })
 
 
@@ -84,10 +83,10 @@ def key_rate(
 
     The privacy term treats any phase-error rate at or above one half as
     carrying no extractable secrecy, so out-of-range bounds cannot produce
-    a spurious positive rate.  A zero eps_cor, eps_PA or eps_hat is
-    unattainable: its cost in bits is infinite, so the rate is 0.
+    a spurious positive rate.  Every budget level is positive, so each
+    failure-probability cost in bits is finite.
     """
-    if n1_prime <= 0.0 or 0.0 in (budget.eps_cor, budget.eps_PA, budget.eps_hat):
+    if n1_prime <= 0.0:
         return 0.0
     priv = 1.0 - shannon_entropy(min(max(e1ph_prime, 0.0), 0.5))
     h_E = shannon_entropy(E_prime)
@@ -108,8 +107,13 @@ def plob_bounds(L_total: float, alpha_f: float, eta_d: float) -> tuple[float, fl
     The absolute bound -log2(1 - eta) assumes perfect local devices; the
     practical bound folds the detector efficiency into the transmittance.
     """
-    if L_total < 0:
-        raise ValueError("distance must be non-negative")
+    # Each comparison is False for NaN, so NaN fails it.
+    if not (0.0 <= L_total < math.inf):
+        raise ValueError(f"distance must be finite and non-negative, got {L_total}")
+    if not (0.0 <= alpha_f < math.inf):
+        raise ValueError(f"alpha_f must be finite and non-negative, got {alpha_f}")
+    if not (0.0 <= eta_d <= 1.0):
+        raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
     eta = 10.0 ** (-alpha_f * L_total / 10.0)
 
     def bound(transmittance: float) -> float:
@@ -125,7 +129,7 @@ def evaluate(
     src: SourceParams,
     method: str = "A",
     mode: str = "approx",
-    budget: SecurityBudget | None = None,
+    budget: SecurityBudget = SecurityBudget(),
     seed: int | None = None,
 ) -> KeyRateReport:
     """Simulate, estimate, and assemble the full key-rate report.
@@ -134,12 +138,9 @@ def evaluate(
     the way forces R = 0 while keeping the flag in the report.  A rate that
     key_rate clamps to 0 because the secret margin (the survived untagged
     bits' secrecy minus error correction and the failure-probability terms)
-    is not positive carries the flag "negative-secret-margin"; a zero
-    failure probability in the budget (eps_cor, eps_PA, eps_hat, eps_def)
-    carries the fatal flag "zero-failure-probability".
+    is not positive carries the flag "negative-secret-margin".  The budget
+    defaults to the paper's levels; it is frozen, so the default is shared.
     """
-    if budget is None:
-        budget = security_budget()
     if not src.is_symmetric():
         residual = src.constraint_residual()
         if abs(residual) > 1e-9:
@@ -152,10 +153,7 @@ def evaluate(
     zz = run_zigzag(bounds, obs, budget, mode)
     flags = obs.flags + bounds.flags + zz.flags
     rate = key_rate(zz.n1_prime, zz.e1ph_prime, obs.n_t_prime, obs.E_prime, exp, budget)
-    if 0.0 in (budget.eps_cor, budget.eps_PA, budget.eps_hat):
-        if "zero-failure-probability" not in flags:  # run_zigzag flags eps_def
-            flags += ("zero-failure-probability",)
-    elif rate == 0.0 and zz.n1_prime > 0:  # key_rate clamped its margin
+    if rate == 0.0 and zz.n1_prime > 0:  # key_rate clamped its margin
         flags += ("negative-secret-margin",)
     if any(f in VACUOUS_FLAGS for f in flags):
         rate = 0.0

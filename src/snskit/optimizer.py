@@ -37,11 +37,11 @@ exactly the moves of scipy's ``minimize(method="Nelder-Mead")``, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .budget import SecurityBudget, security_budget
+from .budget import SecurityBudget
 from .channel import _MAX_INTENSITY, ExperimentalParams, SourceParams, constraint_ratio
 from .keyrate import evaluate, plob_bounds
 
@@ -86,7 +86,7 @@ class OptimizationProblem:
     mode: str = "symmetric"
     method: str = "A"
     zigzag_mode: str = "approx"
-    security: SecurityBudget | None = None
+    security: SecurityBudget = SecurityBudget()
     restarts: int = 8
     max_evals: int = 5000
     seed: int = 0
@@ -147,12 +147,16 @@ class OptimizeResult:
     params: SourceParams | None
     rate: float
     restarts: tuple[RestartRecord, ...]
-    flags: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def evaluations(self) -> int:
         """Key-rate evaluations made over all restarts."""
         return sum(rec.evaluations for rec in self.restarts)
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """("zero-rate-box",) when no restart found a positive rate, else ()."""
+        return ("zero-rate-box",) if self.params is None else ()
 
 
 @dataclass(frozen=True)
@@ -390,7 +394,6 @@ class _Objective:
                  rate: float = 0.0, params: SourceParams | None = None):
         self.problem = problem
         self.space = _Space(problem)
-        self.budget = problem.security if problem.security is not None else security_budget()
         self.evaluations, self.rate, self.params = evaluations, rate, params
 
     def __call__(self, t: "list[float]") -> float:
@@ -400,7 +403,7 @@ class _Objective:
         problem = self.problem
         rate = evaluate(
             problem.exp, src, method=problem.method,
-            mode=problem.zigzag_mode, budget=self.budget,
+            mode=problem.zigzag_mode, budget=problem.security,
         ).R
         self.evaluations += 1
         if _better(rate, src, self.rate, self.params):
@@ -477,7 +480,7 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
         records[lead] = _refine(problem, *coarse[lead])
     best = _best(records)
     if best is None:
-        return OptimizeResult(None, 0.0, tuple(records), ("zero-rate-box",))
+        return OptimizeResult(None, 0.0, tuple(records))
     return OptimizeResult(records[best].params, records[best].rate, tuple(records))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .budget import security_budget
+from .budget import SecurityBudget
 from .channel import ExperimentalParams
 from .optimizer import OptimizationProblem, scan
 
@@ -116,9 +116,8 @@ def compute_table3(seed: int = 1, restarts: int = OptimizationProblem.restarts,
     """Optimized rates for the two published-hardware comparison points."""
     rows = []
     for L, exp, xi, references in TABLE3_CASES:
-        budget = security_budget(xi_default=xi)
-        problem = OptimizationProblem(exp=exp, security=budget, seed=seed,
-                                      restarts=restarts, max_evals=max_evals)
+        problem = OptimizationProblem(exp=exp, security=SecurityBudget(xi_default=xi),
+                                      seed=seed, restarts=restarts, max_evals=max_evals)
         rows += _rows(problem, (L,), [references])
     return rows
 

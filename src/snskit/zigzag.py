@@ -266,8 +266,6 @@ def run_zigzag(
         )
 
     _check_mode(mode, budget)
-    if budget.eps_def == 0.0:  # no finite remainder makes the reduction certain
-        return _dead(("zero-failure-probability",))
     if obs.n_odd <= 0 or obs.n_g <= 0:
         return _dead(("no-pairs",))
     if bounds.n1_L <= 0 or obs.n_t <= 0:

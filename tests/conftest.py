@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from snskit import ExperimentalParams, SourceParams, security_budget, simulate
+from snskit import ExperimentalParams, SecurityBudget, SourceParams, simulate
 
 
 def pytest_configure(config):
@@ -45,10 +45,10 @@ def golden_obs(golden_exp, golden_src):
 
 @pytest.fixture(scope="session")
 def default_budget():
-    return security_budget()
+    return SecurityBudget()
 
 
 @pytest.fixture(scope="session")
 def free_budget():
     """Fluctuation-free switch: every Chernoff use bypassed."""
-    return security_budget(xi_default=1.0, xi_e1=1.0)
+    return SecurityBudget(xi_default=1.0, xi_e1=1.0)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from snskit.budget import security_budget
+from snskit.budget import SecurityBudget
 from snskit.channel import simulate_aopp_counts
 from snskit.keyrate import plob_bounds
 from snskit.optimizer import OptimizationProblem, scan
@@ -145,7 +145,7 @@ def test_criterion_5_method_b_uplift_n11():
 
 
 def test_criterion_6_budget_ledger():
-    b = security_budget()
+    b = SecurityBudget()
     composed_sec = 2 * b.eps_hat + 4 * b.eps_s + b.eps_PA + b.eps_n1_prime + b.eps_nk
     exact = b.eps_sec == composed_sec and b.eps_tol == b.eps_cor + composed_sec
     close = abs(b.eps_s / 1.5e-10 - 1.0) < 5e-3 and abs(b.eps_tol / 1.8e-9 - 1.0) < 5e-3
@@ -214,7 +214,7 @@ def test_criterion_7_property_suites():
 
     # Exact-mode tail bracketing is strict.
     n, r, m_bar = 10**6, 9940.0, 10**4
-    m_s, e_tau, _ = compute_M_bar_s(n, r, m_bar, "exact", security_budget())
+    m_s, e_tau, _ = compute_M_bar_s(n, r, m_bar, "exact", SecurityBudget())
     big_e = e_tau * (1.0 - e_tau)
     shift = round(m_s - r)
     trials = math.ceil(n - r)

@@ -65,6 +65,11 @@ def test_experimental_params_reject_nan_inf_and_negative_loss(name, value):
         table1_exp(300.0, **{name: value})
 
 
+def test_experimental_params_reject_arms_whose_total_overflows():
+    with pytest.raises(ValueError, match="arm lengths"):
+        table1_exp(300.0, L_A=1e308, L_B=1e308)
+
+
 def test_experimental_params_accept_lossless_fiber():
     assert table1_exp(300.0, alpha_f=0.0).alpha_f == 0.0
 

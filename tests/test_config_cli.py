@@ -129,6 +129,31 @@ def test_build_config_validates_values():
         build_config(parse_assignments(BASE_CONFIG.replace("= 1.0e12", "= twelve")))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("opt.distances", "250,nan"),
+    ("opt.distances", "250,-10"),
+    ("opt.distances", "250,inf"),
+    ("opt.delta_L", "400"),
+    ("opt.delta_L", "-400"),
+    ("opt.delta_L", "nan"),
+    ("opt.delta_L", "inf"),
+])
+def test_build_config_checks_the_scan_grid(key, value):
+    # A bad grid point fails when the config is read, not after earlier points ran.
+    values = parse_assignments(BASE_CONFIG.replace("opt.distances = 300", "opt.distances = 250,300"))
+    values[key] = value
+    with pytest.raises(ConfigError, match=key):
+        build_config(values)
+
+
+@pytest.mark.parametrize("key", ["budget.eps_n1_prime", "budget.eps_nk"])
+def test_budget_multi_use_totals_are_unknown_keys(tmp_path, capsys, key):
+    # They follow xi_default, so the config cannot set them apart from it.
+    path = _write(tmp_path, BASE_CONFIG + f"{key} = 1e-20\n")
+    assert main(["rate", "--config", path]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_build_config_search_box_keys(tmp_path):
     problem = parse_config(
         _write(tmp_path, BASE_CONFIG + "opt.mu_hi = 0.5\nopt.p_lo = 1e-3\n")
@@ -266,11 +291,12 @@ def test_cli_rate_zero_rate_exit_code(tmp_path):
 
 
 def test_cli_rate_zero_failure_probability_exit_code(tmp_path):
+    # No key meets a zero failure probability, so the budget rejects it.
     path = _write(tmp_path, BASE_CONFIG)
     cp = _run_cli("rate", "--config", path, "--set", "budget.eps_PA=0")
-    assert cp.returncode == 3, cp.stderr
-    assert "R             0.00000e+00" in cp.stdout
-    assert "zero-failure-probability" in cp.stdout
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("config error:") and "eps_PA" in cp.stderr
+    assert cp.stdout == ""
 
 
 def test_cli_rate_method_b_flag(tmp_path):
@@ -298,6 +324,22 @@ def test_cli_plob_values():
     assert cp.returncode == 0
     assert "1.44270e-05" in cp.stdout
     assert "2.28652e-09" in cp.stdout
+
+
+@pytest.mark.parametrize("args,name", [
+    (["--", "-5"], "distance"),
+    (["250", "inf"], "distance"),
+    (["250", "nan"], "distance"),
+    (["250", "--eta-d", "-0.5"], "eta_d"),
+    (["250", "--eta-d", "1.5"], "eta_d"),
+    (["250", "--eta-d", "nan"], "eta_d"),
+    (["250", "--alpha-f", "-1"], "alpha_f"),
+    (["250", "--alpha-f", "inf"], "alpha_f"),
+])
+def test_cli_plob_bad_input_is_a_config_error(capsys, args, name):
+    assert main(["plob", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and name in err
 
 
 def test_cli_rate_optimizes_without_fixed_source(tmp_path):

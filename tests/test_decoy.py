@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from snskit.budget import security_budget
+from snskit.budget import SecurityBudget
 from snskit.channel import ObservedStats, SourceParams
 from snskit.decoy import (
     bound_e1ph_chernoff,
@@ -41,7 +41,7 @@ def _poisson_rate(mu: float, yields_: "list[float]") -> float:
     )
 
 
-FREE = security_budget(xi_default=1.0, xi_e1=1.0)
+FREE = SecurityBudget(xi_default=1.0, xi_e1=1.0)
 
 
 # ---------------------------------------------------------------------------

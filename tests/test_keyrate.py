@@ -1,14 +1,16 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snskit import keyrate
-from snskit.budget import security_budget
+from snskit.budget import SecurityBudget
 from snskit.channel import ExperimentalParams, SourceParams, constraint_ratio
+from snskit.config import parse_config
 from snskit.keyrate import evaluate, key_rate, plob_bounds
 from snskit.tables import TABLE2_EXP
 from tests.conftest import GOLDEN_SRC, table1_exp
@@ -19,7 +21,7 @@ from tests.conftest import GOLDEN_SRC, table1_exp
 
 
 def test_budget_default_totals():
-    b = security_budget()
+    b = SecurityBudget()
     assert b.eps_e == pytest.approx(3e-13, rel=1e-12)
     assert b.eps_s == pytest.approx(1.502e-10, rel=1e-12)
     # Exact arithmetic composition of the advertised totals.
@@ -30,33 +32,39 @@ def test_budget_default_totals():
 
 
 def test_budget_zeroed_components():
-    b = security_budget(
-        xi_e1=1e-300, eps_def=0.0, xi_tau_tilde=1e-300,
-        eps_cor=0.0, eps_PA=0.0, eps_hat=0.0, eps_n1_prime=0.0, eps_nk=0.0,
-    )
-    assert b.eps_tol < 1e-290
+    # A zero failure probability costs infinitely many bits, so no key meets it.
+    for f in fields(SecurityBudget):
+        with pytest.raises(ValueError, match=f"{f.name} must lie in"):
+            SecurityBudget(**{f.name: 0.0})
+    tiny = SecurityBudget(**{f.name: 1e-300 for f in fields(SecurityBudget) if f.name != "xi_tau"})
+    assert 0.0 < tiny.eps_tol < 1e-290
 
 
 def test_budget_xi_override_propagates_to_multi_use_totals():
-    b = security_budget(xi_default=1.69e-10)
-    assert b.eps_n1_prime == pytest.approx(6 * 1.69e-10, rel=1e-12)
-    assert b.eps_nk == pytest.approx(2 * 1.69e-10, rel=1e-12)
-    explicit = security_budget(xi_default=1.69e-10, eps_nk=1e-9)
-    assert explicit.eps_nk == 1e-9
+    # Every way of setting xi_default carries it into the 6- and 2-use totals.
+    table1 = Path(__file__).resolve().parents[1] / "configs" / "table1_symmetric.cfg"
+    from_config = parse_config(str(table1), overrides=["budget.xi_default = 1e-8"]).problem.security
+    for b in (SecurityBudget(xi_default=1e-8), replace(SecurityBudget(), xi_default=1e-8),
+              from_config):
+        assert b.eps_n1_prime == 6 * b.xi_default and b.eps_nk == 2 * b.xi_default
+        assert b.eps_tol >= 8e-8
+    # The Table III budgets keep the totals they had.
+    assert SecurityBudget(xi_default=1.69e-10).eps_tol == 2.3528e-09
+    assert SecurityBudget(xi_default=1.71e-10).eps_tol == 2.3688e-09
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        security_budget(xi_default=0.0)
+        SecurityBudget(xi_default=0.0)
     with pytest.raises(ValueError):
-        security_budget(eps_cor=1.0)
-    with pytest.raises(ValueError):
-        security_budget(not_a_field=0.5)
+        SecurityBudget(eps_cor=1.0)
+    with pytest.raises(TypeError):
+        SecurityBudget(not_a_field=0.5)
     # Below the smallest normal float, 2/xi overflows to inf.
     with pytest.raises(ValueError, match="xi_e1 = 5e-324 is below the smallest normal"):
-        security_budget(xi_e1=5e-324)
+        SecurityBudget(xi_e1=5e-324)
     with pytest.raises(ValueError, match="eps_cor = 1e-310 is below the smallest normal"):
-        security_budget(eps_cor=1e-310)
+        SecurityBudget(eps_cor=1e-310)
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +76,17 @@ def _exp300():
 
 
 def test_key_rate_zero_without_survivors():
-    assert key_rate(0, 0.01, 1e6, 1e-4, _exp300(), security_budget()) == 0.0
+    assert key_rate(0, 0.01, 1e6, 1e-4, _exp300(), SecurityBudget()) == 0.0
 
 
 def test_key_rate_zero_at_half_phase_error():
-    assert key_rate(1e6, 0.5, 1e6, 1e-4, _exp300(), security_budget()) == 0.0
+    assert key_rate(1e6, 0.5, 1e6, 1e-4, _exp300(), SecurityBudget()) == 0.0
     # Beyond one half no privacy can survive either.
-    assert key_rate(1e6, 0.9, 1e6, 1e-4, _exp300(), security_budget()) == 0.0
+    assert key_rate(1e6, 0.9, 1e6, 1e-4, _exp300(), SecurityBudget()) == 0.0
 
 
 def test_key_rate_matches_inline_formula():
-    exp, budget = _exp300(), security_budget()
+    exp, budget = _exp300(), SecurityBudget()
     n1p, e1p, ntp, ep = 2513850, 0.09756032648757614, 7258726.984254141, 2.6442353355514897e-4
     h = lambda x: -x * math.log2(x) - (1 - x) * math.log2(1 - x)
     want = (2.0 / exp.N) * (
@@ -93,21 +101,21 @@ def test_key_rate_matches_inline_formula():
 
 
 def test_key_rate_never_negative():
-    assert key_rate(10, 0.4, 1e9, 0.3, _exp300(), security_budget()) == 0.0
+    assert key_rate(10, 0.4, 1e9, 0.3, _exp300(), SecurityBudget()) == 0.0
 
 
 def test_key_rate_charges_no_correction_without_errors_at_overflowing_sizes():
     # f * n_t_prime overflows to inf, and inf * h(0) would make the rate NaN.
     exp = table1_exp(300.0, N=1e300, f=1e300)
-    assert key_rate(1e299, 0.1, 1e299, 0.0, exp, security_budget()) == pytest.approx(
+    assert key_rate(1e299, 0.1, 1e299, 0.0, exp, SecurityBudget()) == pytest.approx(
         2.0 * 1e299 * (1.0 - 0.4689955935892812) / 1e300, rel=1e-12)
 
 
 def test_key_rate_charges_an_underflowing_privacy_amplification_cost():
     # sqrt(2) * 1e-200 * 1e-200 underflows to 0; the cost is still 2 * 1329.3 bits.
     args = (2513850, 0.09756032648757614, 7258726.984254141, 2.6442353355514897e-4, _exp300())
-    tiny = key_rate(*args, security_budget(eps_PA=1e-200, eps_hat=1e-200))
-    base = key_rate(*args, security_budget())
+    tiny = key_rate(*args, SecurityBudget(eps_PA=1e-200, eps_hat=1e-200))
+    base = key_rate(*args, SecurityBudget())
     cost_bits = 2.0 * (0.5 + 400.0 * math.log2(10.0)) - 2.0 * (0.5 + 20.0 * math.log2(10.0))
     assert tiny == pytest.approx(base - 2.0 * cost_bits / _exp300().N, rel=1e-9)
 
@@ -284,30 +292,16 @@ def test_evaluate_flags_negative_secret_margin(golden_src):
     assert "negative-secret-margin" not in VACUOUS_FLAGS
 
 
-@pytest.mark.parametrize("field", ["eps_cor", "eps_PA", "eps_hat", "eps_def"])
-@pytest.mark.parametrize("mode", ["approx", "exact"])
-def test_evaluate_zero_failure_probability_gives_flagged_zero(golden_exp, golden_src, field, mode):
-    # A zero failure probability constructs, but no finite key meets it.
-    from snskit.keyrate import VACUOUS_FLAGS
-
-    budget = security_budget(**{field: 0.0})
-    for method in ("A", "B"):
-        rep = evaluate(golden_exp, golden_src, method=method, mode=mode, budget=budget)
-        assert rep.R == 0.0 and not rep.secure
-        assert rep.flags == ("zero-failure-probability",)
-    assert "zero-failure-probability" in VACUOUS_FLAGS
-
-
 @pytest.mark.parametrize("override", [{"xi_tau": 1.0}, {"xi_tau_tilde": 1.0}])
 def test_evaluate_exact_mode_fluctuation_free_tail_levels(golden_exp, golden_src, override):
     rep = evaluate(golden_exp, golden_src, method="A", mode="exact",
-                   budget=security_budget(**override))
+                   budget=SecurityBudget(**override))
     assert math.isfinite(rep.R) and rep.R > 0.0
 
 
 def test_evaluate_approx_mode_rejects_non_default_tail_level(golden_exp, golden_src):
     with pytest.raises(ValueError, match='mode="exact"'):
-        evaluate(golden_exp, golden_src, budget=security_budget(xi_tau=1e-4))
+        evaluate(golden_exp, golden_src, budget=SecurityBudget(xi_tau=1e-4))
 
 
 def test_evaluate_asymmetric_arms_with_valid_constraint():
@@ -346,7 +340,7 @@ _open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_m
 _intensity = st.floats(min_value=-300.0, max_value=math.log10(690.0)).map(lambda e: 10.0**e)
 # Positive failure probabilities construct from the smallest normal float up.
 _level = st.floats(min_value=sys.float_info.min, max_value=1.0)
-_eps = st.just(0.0) | st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True)
+_eps = st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True)
 
 
 @st.composite
@@ -394,25 +388,20 @@ def _sources(draw):
 
 @st.composite
 def _budgets(draw):
-    # Below 1, xi_default also sets eps_n1_prime = 6 xi_default, which must stay below 1.
-    levels = {"xi_default": draw(st.just(1.0) | st.floats(min_value=sys.float_info.min,
-                                                          max_value=1.0 / 6.0, exclude_max=True))}
-    for name in ("xi_e1", "xi_tau", "xi_tau_tilde"):
+    levels = {}
+    for name in ("xi_default", "xi_e1", "xi_tau", "xi_tau_tilde"):
         levels[name] = draw(_level)
     for name in ("eps_def", "eps_cor", "eps_PA", "eps_hat"):
         levels[name] = draw(_eps)
-    try:
-        return security_budget(**levels)
-    except ValueError:  # 6 xi_default rounded up to 1
-        assume(False)
+    return SecurityBudget(**levels)
 
 
 @settings(max_examples=400, deadline=None)
 @given(exp=_experiments(), src=_sources(), budget=_budgets())
 def test_every_constructed_input_gives_a_finite_non_negative_rate(exp, src, budget):
     # Exact mode takes any budget; approx mode holds only at its own tail levels.
-    approx = replace(budget, xi_tau=security_budget().xi_tau,
-                     xi_tau_tilde=security_budget().xi_tau_tilde)
+    approx = replace(budget, xi_tau=SecurityBudget().xi_tau,
+                     xi_tau_tilde=SecurityBudget().xi_tau_tilde)
     for method in ("A", "B"):
         for mode, levels in (("exact", budget), ("approx", approx)):
             R = evaluate(exp, src, method=method, mode=mode, budget=levels).R

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from snskit.budget import security_budget
+from snskit.budget import SecurityBudget
 from snskit.stats import TailQuery, binomial_tail, chernoff_observed_bounds
 from snskit.zigzag import (
     compute_M_bar,
@@ -15,8 +15,8 @@ from snskit.zigzag import (
     u_factor,
 )
 
-BUDGET = security_budget()
-FREE = security_budget(xi_default=1.0, xi_e1=1.0)
+BUDGET = SecurityBudget()
+FREE = SecurityBudget(xi_default=1.0, xi_e1=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_M_bar_s_exact_close_to_approx():
 def test_M_bar_s_exact_fluctuation_free_pre_pairing_level():
     # xi_tau = 1 takes the expectation: e_tau = M_bar / trials_pre.
     n, r, m_bar = 10**6, 9940.0, 10**4
-    free = security_budget(xi_tau=1.0)
+    free = SecurityBudget(xi_tau=1.0)
     m_s, e_tau, flags = compute_M_bar_s(n, r, m_bar, "exact", free)
     assert flags == ()
     assert e_tau == m_bar / math.floor(2 * n - r)
@@ -194,7 +194,7 @@ def test_M_bar_s_exact_fluctuation_free_survived_level():
     # xi_tau_tilde = 1 takes the expectation: M_bar_s = trials_post * E_tau + r.
     n, r, m_bar = 10**6, 9940.0, 10**4
     m_s, e_tau, flags = compute_M_bar_s(
-        n, r, m_bar, "exact", security_budget(xi_tau_tilde=1.0)
+        n, r, m_bar, "exact", SecurityBudget(xi_tau_tilde=1.0)
     )
     _, e_tau_default, _ = compute_M_bar_s(n, r, m_bar, "exact", BUDGET)
     assert flags == ()
@@ -204,7 +204,7 @@ def test_M_bar_s_exact_fluctuation_free_survived_level():
 
 @pytest.mark.parametrize("override", [{"xi_tau": 1e-4}, {"xi_tau_tilde": 1e-12}, {"xi_tau": 1.0}])
 def test_M_bar_s_approx_rejects_other_tail_levels(override):
-    budget = security_budget(**override)
+    budget = SecurityBudget(**override)
     with pytest.raises(ValueError, match='mode="exact"'):
         compute_M_bar_s(10**6, 10**4, 10**4, "approx", budget)
     compute_M_bar_s(10**6, 10**4, 10**4, "exact", budget)  # exact mode takes any level
@@ -333,7 +333,7 @@ def test_run_zigzag_approx_rejects_other_tail_levels_before_short_circuit(golden
         e1ph_U=1.0, method="A", flags=("vacuous-decoy-bound",),
     )
     with pytest.raises(ValueError, match='mode="exact"'):
-        run_zigzag(empty, golden_obs, security_budget(xi_tau=1e-4), "approx")
+        run_zigzag(empty, golden_obs, SecurityBudget(xi_tau=1e-4), "approx")
 
 
 def test_run_zigzag_clamps_untagged_count_above_2_to_the_53(golden_obs, default_budget):
@@ -368,7 +368,7 @@ def test_M_bar_s_exact_finite_where_the_inverse_fails():
             -195.0,
         )
         root = float(mp.exp(log_root))
-    budget = security_budget(xi_tau=1e-250)
+    budget = SecurityBudget(xi_tau=1e-250)
     M_bar_s, e_tau, flags = compute_M_bar_s(50, 0.0, 3, "exact", budget)
     assert flags == ()
     assert e_tau == pytest.approx(root, rel=1e-10, abs=0.0)
@@ -381,7 +381,7 @@ def test_M_bar_s_exact_vacuous_where_the_tail_cannot_be_evaluated(monkeypatch):
     from snskit import stats
 
     monkeypatch.setattr(stats, "binomial_tail", lambda query: math.nan)
-    budget = security_budget(xi_tau=1e-250)
+    budget = SecurityBudget(xi_tau=1e-250)
     assert compute_M_bar_s(50, 0.0, 3, "exact", budget) == (100.0, 1.0, ("vacuous-e-tau",))
 
 
