@@ -70,9 +70,8 @@ class ExperimentalParams:
     alpha_f   fiber loss in dB/km
     N         total number of pulse pairs sent
     L_A, L_B  arm lengths in km (sender to measurement station)
-    M_slices  number of phase slices used for the X-window post-selection
-    slice_mode  "average" evaluates the error rate averaged over the accepted
-                slice; "ideal" evaluates it at perfect phase alignment
+    M_slices  number of phase slices used for the X-window post-selection;
+              the error rate is averaged over the accepted slice
     """
 
     p_d: float
@@ -84,7 +83,6 @@ class ExperimentalParams:
     L_A: float
     L_B: float
     M_slices: int = 16
-    slice_mode: str = "average"
 
     def __post_init__(self) -> None:
         for name in ("p_d", "e_d", "eta_d"):
@@ -105,15 +103,16 @@ class ExperimentalParams:
             )
         if not (self.M_slices >= 1):
             raise ValueError(f"M_slices must be >= 1, got {self.M_slices}")
-        if self.slice_mode not in ("average", "ideal"):
-            raise ValueError(f"slice_mode must be 'average' or 'ideal', got {self.slice_mode!r}")
 
     @property
     def L_total(self) -> float:
         return self.L_A + self.L_B
 
-    def at_distance(self, L_total: float, delta: float = 0.0) -> "ExperimentalParams":
-        """Same hardware at a new total distance with L_A - L_B = delta."""
+    def at_distance(self, L_total: float, delta: float | None = None) -> "ExperimentalParams":
+        """Same hardware at a new total distance with L_A - L_B = delta,
+        by default the present arms' offset."""
+        if delta is None:
+            delta = self.L_A - self.L_B
         la = 0.5 * (L_total + delta)
         lb = 0.5 * (L_total - delta)
         return replace(self, L_A=la, L_B=lb)
@@ -419,8 +418,6 @@ def _x1_error_probability(x: float, y: float, exp: ExperimentalParams) -> float:
     half = 0.5 * (x + y)
     root_xy = math.sqrt(x * y)
     amp = (1.0 - 2.0 * exp.e_d) * root_xy
-    if exp.slice_mode == "ideal":
-        return _wrong_click_probability(0.0, half, amp, exp.p_d)
     if abs(amp) > _SERIES_MAX_AMP:
         b = math.pi / exp.M_slices
         # Average over [0, b]; the integrand is even so this equals [-b, b].

@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields, replace
 
 from .channel import SourceParams
-from .config import RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .keyrate import KeyRateReport, evaluate, plob_bounds
 from .optimizer import OptimizationProblem, optimize, scan
 from .tables import TABLE2_PLOB_REFERENCE, compute_table2, compute_table3, format_rows
@@ -127,6 +127,8 @@ def _scan_csv_rows(cfg: RunConfig) -> "list[str]":
 
 
 def cmd_scan(cfg: RunConfig) -> int:
+    if not cfg.distances:
+        raise ConfigError("opt.distances: scan needs at least one distance")
     text = "\n".join(_scan_csv_rows(cfg)) + "\n"
     if cfg.out is None:
         sys.stdout.write(text)

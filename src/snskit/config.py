@@ -36,7 +36,6 @@ _SRC_SIDE = tuple(name for name in _SRC_KEYS if not name.endswith("_b"))
 _OPT_KEYS = {
     "mode": str, "restarts": int, "max_evals": int, "seed": int,
     "distances": str, "delta_L": float,
-    "mu_lo": float, "mu_hi": float, "p_lo": float, "p_hi": float,
 }
 _BUDGET_KEYS = {f.name: float for f in fields(SecurityBudget)}
 _RUN_KEYS = {"method": str, "zigzag": str, "out": str}
@@ -54,11 +53,12 @@ _SECTIONS = {
 class RunConfig:
     """Parsed configuration: the search problem (``problem.x0`` is the fixed
     source, None when only optimization is set up), the scan grid with its
-    fixed L_A - L_B, and the output path."""
+    fixed L_A - L_B (None keeps the configured arms' offset), and the output
+    path."""
 
     problem: OptimizationProblem
     distances: tuple[float, ...]
-    delta_L: float
+    delta_L: float | None
     out: str | None
 
 
@@ -156,12 +156,12 @@ def build_config(values: dict[str, str]) -> RunConfig:
             raise ConfigError(f"opt.distances: cannot parse {text!r}") from err
     if not all(0.0 <= L < math.inf for L in distances):
         raise ConfigError(f"opt.distances: every distance must be finite and >= 0, got {text!r}")
-    delta_L = search.pop("delta_L", 0.0)
-    # Both arms, (L + delta_L) / 2 and (L - delta_L) / 2, must be non-negative.
-    if not (abs(delta_L) < math.inf and all(abs(delta_L) <= L for L in distances)):
-        raise ConfigError(
-            f"opt.delta_L: must be finite with |delta_L| at most every distance, got {delta_L}"
-        )
+    delta_L = search.pop("delta_L", None)
+    for L in distances:
+        try:
+            exp.at_distance(L, delta_L)  # both arms must stay finite and non-negative
+        except ValueError as err:
+            raise ConfigError(f"opt.delta_L: at {L:g} km, {err}") from err
 
     run = typed["run"]
     out = run.pop("out", None)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .budget import SecurityBudget
-from .channel import _MAX_INTENSITY, ExperimentalParams, SourceParams, constraint_ratio
+from .channel import ExperimentalParams, SourceParams, constraint_ratio
 from .keyrate import evaluate, plob_bounds
 
 __all__ = [
@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _SIMPLEX_STEP = 0.25  # initial simplex edge in transformed coordinates
+_RESTART_SPAN = 2.0  # random restarts draw each coordinate uniformly from [-span, span]
+_P_LO, _P_HI = 1e-4, 1.0 - 1e-4  # the search box (see OptimizationProblem)
+_MU_LO, _MU_HI = 1e-4, 1.0
 _COARSE_RTOL = 1e-3  # relative spread of the simplex's rates at which every restart stops
 _RTOL = 1e-5  # ... and at which the leading restart, resumed, stops
 # Objective of R = 0 and of infeasible corners: above -ln R of any positive
@@ -80,6 +83,9 @@ class OptimizationProblem:
     max_evals    cap on objective calls per restart, infeasible corners
                  included; the leader's coarse and resumed phases share it
     x0           optional warm-start source vector
+
+    Every search runs in one fixed box: probabilities, p1 / (1 - p0) and
+    mu1 / mu2 lie in [1e-4, 1 - 1e-4], intensities in [1e-4, 1].
     """
 
     exp: ExperimentalParams
@@ -91,10 +97,6 @@ class OptimizationProblem:
     max_evals: int = 5000
     seed: int = 0
     x0: SourceParams | None = None
-    mu_lo: float = 1e-4
-    mu_hi: float = 1.0
-    p_lo: float = 1e-4
-    p_hi: float = 1.0 - 1e-4
 
     def __post_init__(self) -> None:
         if self.mode not in ("symmetric", "asymmetric"):
@@ -105,10 +107,6 @@ class OptimizationProblem:
             raise ValueError(f"zigzag_mode must be 'approx' or 'exact', got {self.zigzag_mode!r}")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be positive")
-        if not (0.0 < self.mu_lo < self.mu_hi <= _MAX_INTENSITY):
-            raise ValueError(f"intensity box must satisfy 0 < mu_lo < mu_hi <= {_MAX_INTENSITY:g}")
-        if not (0.0 < self.p_lo < self.p_hi < 1.0):
-            raise ValueError("probability box must satisfy 0 < p_lo < p_hi < 1")
 
 
 @dataclass(frozen=True)
@@ -188,21 +186,16 @@ class _Space:
         self.dim = 7 if problem.mode == "symmetric" else 13
 
     def _p(self, t: float) -> float:
-        pr = self.problem
-        return pr.p_lo + (pr.p_hi - pr.p_lo) * _expit(t)
+        return _P_LO + (_P_HI - _P_LO) * _expit(t)
 
     def _t_of_p(self, p: float) -> float:
-        pr = self.problem
-        return _logit((p - pr.p_lo) / (pr.p_hi - pr.p_lo))
+        return _logit((p - _P_LO) / (_P_HI - _P_LO))
 
     def _mu(self, t: float) -> float:
-        pr = self.problem
-        # min: at mu_hi = 690 the box top can round one ulp past the limit
-        return min(pr.mu_lo * (pr.mu_hi / pr.mu_lo) ** _expit(t), _MAX_INTENSITY)
+        return _MU_LO * (_MU_HI / _MU_LO) ** _expit(t)
 
     def _t_of_mu(self, mu: float) -> float:
-        pr = self.problem
-        return _logit(math.log(mu / pr.mu_lo) / math.log(pr.mu_hi / pr.mu_lo))
+        return _logit(math.log(mu / _MU_LO) / math.log(_MU_HI / _MU_LO))
 
     def _side(self, t: "list[float]") -> tuple[float, ...]:
         # (p_z, eps, p0, p1, mu1, mu2, mu_z) from 7 coordinates
@@ -241,8 +234,8 @@ class _Space:
             self._t_of_p(src.p_z),
             self._t_of_p(src.eps),
             self._t_of_p(src.p0),
-            self._t_of_p(min(src.p1 / (1.0 - src.p0), self.problem.p_hi)),
-            self._t_of_p(min(src.mu1 / src.mu2, self.problem.p_hi)),
+            self._t_of_p(min(src.p1 / (1.0 - src.p0), _P_HI)),
+            self._t_of_p(min(src.mu1 / src.mu2, _P_HI)),
             self._t_of_mu(src.mu2),
             self._t_of_mu(src.mu_z),
         ]
@@ -251,7 +244,7 @@ class _Space:
                 self._t_of_p(src.p_z_b),
                 self._t_of_p(src.eps_b),
                 self._t_of_p(src.p0_b),
-                self._t_of_p(min(src.p1_b / (1.0 - src.p0_b), self.problem.p_hi)),
+                self._t_of_p(min(src.p1_b / (1.0 - src.p0_b), _P_HI)),
                 self._t_of_mu(src.mu2_b),
                 self._t_of_mu(src.mu_z_b),
             ]
@@ -269,9 +262,8 @@ class _Space:
         # for strongly unequal arms.
         exp = self.problem.exp
         ratio = 10.0 ** (-exp.alpha_f * (exp.L_A - exp.L_B) / 10.0)
-        lo, hi = self.problem.mu_lo, self.problem.mu_hi
-        mu2_b = min(max(g["mu2"] * ratio, lo * 1.01), hi * 0.99)
-        mu_z_b = min(max(g["mu_z"] * ratio, lo * 1.01), hi * 0.99)
+        mu2_b = min(max(g["mu2"] * ratio, _MU_LO * 1.01), _MU_HI * 0.99)
+        mu_z_b = min(max(g["mu_z"] * ratio, _MU_LO * 1.01), _MU_HI * 0.99)
         t[-2] = self._t_of_mu(mu2_b)
         t[-1] = self._t_of_mu(mu_z_b)
         return t
@@ -448,7 +440,7 @@ def _starts(problem: OptimizationProblem) -> list[list[float]]:
     rng = np.random.default_rng(problem.seed)
     starts = [space.encode(problem.x0) if problem.x0 is not None else space.default_start()]
     for _ in range(problem.restarts - 1):
-        starts.append(rng.uniform(-2.0, 2.0, size=space.dim).tolist())
+        starts.append(rng.uniform(-_RESTART_SPAN, _RESTART_SPAN, size=space.dim).tolist())
     return starts
 
 
@@ -487,11 +479,12 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
 def scan(
     problem: OptimizationProblem,
     distances: "list[float]",
-    delta_L: float = 0.0,
+    delta_L: float | None = None,
 ) -> list[ScanPoint]:
     """Optimize at each total distance, warm-starting from the previous one.
 
-    ``delta_L`` keeps L_A - L_B fixed across the scan (asymmetric setups).
+    ``delta_L`` keeps L_A - L_B fixed across the scan; by default it is the
+    offset of ``problem.exp``'s own arms.
     Distances run in the given order so each point can reuse the previous
     optimum as one of its restarts.
     """

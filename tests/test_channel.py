@@ -31,8 +31,6 @@ def test_experimental_params_validation():
         table1_exp(300, f=0.9)
     with pytest.raises(ValueError):
         table1_exp(300, M_slices=0)
-    with pytest.raises(ValueError):
-        table1_exp(300, slice_mode="weird")
 
 
 def test_source_params_validation():
@@ -319,12 +317,16 @@ def test_x1_error_misalignment_half_kills_interference():
 
 
 def test_x1_error_perfect_interference_limit():
-    # Aligned phases, no misalignment, no darks, equal arms: the wrong
-    # detector sees exactly zero intensity.
-    exp = table1_exp(300.0, e_d=0.0, p_d=0.0, slice_mode="ideal")
+    # No misalignment, no darks, equal arms: the wrong detector sees light
+    # only through the phase spread of the accepted slice, so the error
+    # count vanishes as the slices shrink (the window probability falls as
+    # (pi/M)^2, the window size as 1/M).
     src = SourceParams.symmetric(**GOLDEN_SRC)
-    _, m, _ = simulate_x1_error(exp, src)
-    assert m == 0
+    counts = [
+        simulate_x1_error(table1_exp(300.0, e_d=0.0, p_d=0.0, M_slices=m_slices), src)[1]
+        for m_slices in (16, 32, 64, 128)
+    ]
+    assert counts == [61, 8, 1, 0]
 
 
 def test_x1_error_quadrature_against_dense_trapezoid():

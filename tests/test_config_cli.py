@@ -15,7 +15,8 @@ from snskit.config import (
     parse_config,
 )
 from snskit.keyrate import evaluate
-from snskit.optimizer import OptimizationProblem
+
+ASYM_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "asym_scan.cfg"
 
 BASE_CONFIG = """\
 # hardware
@@ -146,22 +147,26 @@ def test_build_config_checks_the_scan_grid(key, value):
         build_config(values)
 
 
-@pytest.mark.parametrize("key", ["budget.eps_n1_prime", "budget.eps_nk"])
+def test_build_config_checks_the_scan_grid_against_the_arm_offset():
+    # Without opt.delta_L the scan keeps L_A - L_B, so the grid must fit it.
+    values = parse_assignments(BASE_CONFIG.replace("exp.L_B     = 150", "exp.L_B     = 50"))
+    assert build_config(values).delta_L is None
+    values["opt.distances"] = "80,300"
+    with pytest.raises(ConfigError, match="opt.delta_L: at 80 km"):
+        build_config(values)
+
+
+@pytest.mark.parametrize("key", [
+    "budget.eps_n1_prime", "budget.eps_nk",
+    "opt.mu_lo", "opt.mu_hi", "opt.p_lo", "opt.p_hi", "exp.slice_mode",
+])
 def test_budget_multi_use_totals_are_unknown_keys(tmp_path, capsys, key):
-    # They follow xi_default, so the config cannot set them apart from it.
+    # Settings no run may change are not keys: the multi-use totals follow
+    # xi_default, and the search box and the slice-averaged error model are
+    # fixed.
     path = _write(tmp_path, BASE_CONFIG + f"{key} = 1e-20\n")
     assert main(["rate", "--config", path]) == 2
     assert f"unknown key {key!r}" in capsys.readouterr().err
-
-
-def test_build_config_search_box_keys(tmp_path):
-    problem = parse_config(
-        _write(tmp_path, BASE_CONFIG + "opt.mu_hi = 0.5\nopt.p_lo = 1e-3\n")
-    ).problem
-    # Only the keys that are set reach the problem; the others keep its defaults.
-    defaults = OptimizationProblem(exp=problem.exp)
-    assert (problem.mu_lo, problem.p_hi) == (defaults.mu_lo, defaults.p_hi)
-    assert problem.mu_hi == 0.5 and problem.p_lo == 1e-3
 
 
 def test_readme_configuration_table_lists_every_key():
@@ -251,13 +256,6 @@ def test_cli_bad_search_setting_is_a_config_error(tmp_path, capsys, command, key
     assert err.startswith("config error:") and repr(value) in err
 
 
-def test_cli_rate_with_a_fixed_source_checks_the_search_box(tmp_path, capsys):
-    # The search settings are checked when the config is read, for every command.
-    path = _write(tmp_path, BASE_CONFIG)
-    assert main(["rate", "--config", path, "--set", "opt.p_lo=0.5", "--set", "opt.p_hi=0.1"]) == 2
-    assert capsys.readouterr().err.startswith("config error: probability box must satisfy")
-
-
 # ---------------------------------------------------------------------------
 # CLI end to end
 
@@ -305,12 +303,29 @@ def test_cli_rate_method_b_flag(tmp_path):
     assert "2.84911e-06" in cp.stdout
 
 
-def test_cli_scan_empty_grid_writes_header_only(tmp_path):
-    path = _write(tmp_path, BASE_CONFIG.replace("opt.distances = 300", "opt.distances ="))
-    out = tmp_path / "scan.csv"
-    cp = _run_cli("scan", "--config", path, "--out", str(out))
-    assert cp.returncode == 0, cp.stderr
-    assert out.read_text() == "L_km,R_A,R_B,plob1,plob2,p_z,eps,p0,p1,mu1,mu2,mu_z\n"
+def test_cli_scan_without_distances_is_a_config_error(tmp_path, capsys):
+    for grid in ("opt.distances =", "# no grid"):
+        path = _write(tmp_path, BASE_CONFIG.replace("opt.distances = 300", grid))
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: opt.distances")
+        assert not out.exists()
+        # A fixed-source rate needs no grid.
+        assert main(["rate", "--config", path]) == 0
+
+
+def test_cli_scan_keeps_the_configured_arm_offset(tmp_path):
+    # Without opt.delta_L a scan holds the exp. block's L_A - L_B (150 - 100
+    # km in the benchmark's asymmetric config), not equal arms.
+    text = ASYM_CONFIG.read_text(encoding="utf-8")
+    offset_line = "opt.delta_L   = 50\n"
+    assert offset_line in text
+    paths = [_write(tmp_path, text, name="given.cfg"),
+             _write(tmp_path, text.replace(offset_line, ""), name="default.cfg")]
+    outs = [tmp_path / "given.csv", tmp_path / "default.csv"]
+    for path, out in zip(paths, outs):
+        assert main(["scan", "--config", path, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_cli_scan_unwritable_path_exit_code(tmp_path):
@@ -379,13 +394,6 @@ def test_int_keys_read_integral_floats(tmp_path):
     problem = cfg.problem
     assert problem.max_evals == 1000 and type(problem.max_evals) is int
     assert problem.exp.M_slices == 32 and type(problem.exp.M_slices) is int
-
-
-def test_cli_intensity_box_above_the_source_limit_is_a_config_error(tmp_path, capsys):
-    path = _write(tmp_path, BASE_CONFIG.replace("src.", "# src."))  # optimizes first
-    assert main(["optimize", "--config", path, "--set", "opt.mu_hi=inf"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: intensity box must satisfy 0 < mu_lo < mu_hi <= 690")
 
 
 def test_cli_scan_deterministic_and_refeedable(tmp_path):

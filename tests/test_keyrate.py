@@ -354,7 +354,6 @@ def _experiments(draw):
             L_A=draw(st.floats(min_value=0.0, max_value=1e300)),
             L_B=draw(st.floats(min_value=0.0, max_value=1e300)),
             M_slices=draw(st.integers(min_value=1, max_value=256)),
-            slice_mode=draw(st.sampled_from(["average", "ideal"])),
         )
     except ValueError:
         assume(False)

@@ -67,15 +67,6 @@ def test_space_decode_always_feasible():
                 assert abs(src.constraint_residual()) < 1e-9
 
 
-@pytest.mark.parametrize("mu_hi", [690.5, 1e308, float("inf")])
-def test_intensity_box_ends_at_the_largest_source_intensity(mu_hi):
-    with pytest.raises(ValueError, match="mu_lo < mu_hi <= 690"):
-        _small_problem(mu_hi=mu_hi)
-    # The top of the box itself decodes to a source, rounding and all.
-    top = _Space(_small_problem(mu_lo=0.6391042337301075, mu_hi=690.0))
-    assert top.decode([0.0] * 5 + [40.0, 40.0]).mu2 == 690.0
-
-
 @pytest.mark.parametrize(
     "field,value", [("method", "C"), ("zigzag_mode", "fast"), ("mode", "sym")]
 )
