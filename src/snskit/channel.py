@@ -108,11 +108,9 @@ class ExperimentalParams:
     def L_total(self) -> float:
         return self.L_A + self.L_B
 
-    def at_distance(self, L_total: float, delta: float | None = None) -> "ExperimentalParams":
-        """Same hardware at a new total distance with L_A - L_B = delta,
-        by default the present arms' offset."""
-        if delta is None:
-            delta = self.L_A - self.L_B
+    def at_distance(self, L_total: float) -> "ExperimentalParams":
+        """Same hardware and arm offset L_A - L_B at a new total distance."""
+        delta = self.L_A - self.L_B
         la = 0.5 * (L_total + delta)
         lb = 0.5 * (L_total - delta)
         return replace(self, L_A=la, L_B=lb)
@@ -425,7 +423,9 @@ def _x1_error_probability(x: float, y: float, exp: ExperimentalParams) -> float:
             w * _wrong_click_probability(0.5 * b * (t + 1.0), half, amp, exp.p_d)
             for t, w in _gl_rule()
         )
-    excess = sum(_slice_mean_excess_terms(amp, exp.M_slices))
+    excess = 0.0
+    for term in _slice_mean_excess_terms(amp, exp.M_slices):
+        excess += term  # left to right; sum() compensates from Python 3.12
     gap = 0.5 * (math.sqrt(x) - math.sqrt(y)) ** 2 + 2.0 * exp.e_d * root_xy  # half - amp
     e_half = math.exp(-half)
     bracket = excess - math.exp(-amp) * math.expm1(-gap) + exp.p_d * e_half

@@ -112,7 +112,7 @@ def _scan_csv_rows(cfg: RunConfig) -> "list[str]":
     param_cols = _PARAM_FIELDS[:7] if problem.mode == "symmetric" else _PARAM_FIELDS
     rows = ["L_km,R_A,R_B,plob1,plob2," + ",".join(param_cols)]
     points_a, points_b = (
-        scan(replace(problem, method=method), list(cfg.distances), delta_L=cfg.delta_L)
+        scan(replace(problem, method=method), list(cfg.distances))
         for method in ("A", "B")
     )
     for pt_a, pt_b in zip(points_a, points_b):

@@ -52,13 +52,11 @@ _SECTIONS = {
 @dataclass
 class RunConfig:
     """Parsed configuration: the search problem (``problem.x0`` is the fixed
-    source, None when only optimization is set up), the scan grid with its
-    fixed L_A - L_B (None keeps the configured arms' offset), and the output
-    path."""
+    source, None when only optimization is set up), the scan grid, which
+    keeps the configured arms' L_A - L_B, and the output path."""
 
     problem: OptimizationProblem
     distances: tuple[float, ...]
-    delta_L: float | None
     out: str | None
 
 
@@ -156,12 +154,20 @@ def build_config(values: dict[str, str]) -> RunConfig:
             raise ConfigError(f"opt.distances: cannot parse {text!r}") from err
     if not all(0.0 <= L < math.inf for L in distances):
         raise ConfigError(f"opt.distances: every distance must be finite and >= 0, got {text!r}")
+    # opt.delta_L only restates the arms' offset, which every scan keeps.
     delta_L = search.pop("delta_L", None)
+    offset = exp.L_A - exp.L_B
+    if delta_L is not None and not math.isclose(delta_L, offset, rel_tol=1e-12, abs_tol=1e-9):
+        raise ConfigError(
+            f"opt.delta_L = {delta_L!r} differs from exp.L_A - exp.L_B = {offset!r}"
+        )
     for L in distances:
         try:
-            exp.at_distance(L, delta_L)  # both arms must stay finite and non-negative
+            exp.at_distance(L)  # both arms must stay finite and non-negative
         except ValueError as err:
-            raise ConfigError(f"opt.delta_L: at {L:g} km, {err}") from err
+            raise ConfigError(
+                f"opt.distances: at {L:g} km with exp.L_A - exp.L_B = {offset!r}, {err}"
+            ) from err
 
     run = typed["run"]
     out = run.pop("out", None)
@@ -171,7 +177,7 @@ def build_config(values: dict[str, str]) -> RunConfig:
         problem = OptimizationProblem(exp=exp, security=budget, x0=src, **search, **run)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return RunConfig(problem, distances, delta_L, out)
+    return RunConfig(problem, distances, out)
 
 
 def parse_config(path: str, overrides: "list[str] | None" = None,

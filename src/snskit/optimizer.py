@@ -11,7 +11,12 @@ probed point satisfies it exactly.
 Each optimization draws a seeded set of restart points, runs the simplex
 from each, and keeps the best evaluation ever made, which makes results
 deterministic per seed.  Each restart reports one compact record, not its
-evaluations.
+evaluations.  The starts are the draws of numpy's
+``default_rng(seed).uniform(-2, 2, size=dim)``, reproduced bit for bit by a
+standard-library port of its SeedSequence and PCG64 (``_Pcg64``), so a
+search loads no ``numpy.random`` (numpy 2 imports it only on first use,
+hence the ``numpy>=2.0`` floor); numpy remains only for the simplex's
+argsort.
 
 The simplex minimizes ``-ln R``.  It only compares objective values, so
 any strictly decreasing transform of R makes the same moves; this one makes
@@ -37,7 +42,8 @@ exactly the moves of scipy's ``minimize(method="Nelder-Mead")``, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -82,7 +88,9 @@ class OptimizationProblem:
     zigzag_mode  "approx" or "exact" pairing-stage accounting
     max_evals    cap on objective calls per restart, infeasible corners
                  included; the leader's coarse and resumed phases share it
-    x0           optional warm-start source vector
+    seed         non-negative integer seeding the random restart starts
+    x0           optional warm-start source vector; a symmetric search
+                 needs a symmetric one
 
     Every search runs in one fixed box: probabilities, p1 / (1 - p0) and
     mu1 / mu2 lie in [1e-4, 1 - 1e-4], intensities in [1e-4, 1].
@@ -107,6 +115,8 @@ class OptimizationProblem:
             raise ValueError(f"zigzag_mode must be 'approx' or 'exact', got {self.zigzag_mode!r}")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -230,6 +240,13 @@ class _Space:
             return None
 
     def encode(self, src: SourceParams) -> list[float]:
+        if self.problem.mode == "symmetric" and not src.is_symmetric():
+            name = next(f.name for f in fields(src)
+                        if f.name.endswith("_b") and getattr(src, f.name) != getattr(src, f.name[:-2]))
+            raise ValueError(
+                f"a symmetric search needs a symmetric source, but {name} = "
+                f"{getattr(src, name)!r} differs from {name[:-2]} = {getattr(src, name[:-2])!r}"
+            )
         t = [
             self._t_of_p(src.p_z),
             self._t_of_p(src.eps),
@@ -435,12 +452,78 @@ def _refine(problem: OptimizationProblem, record: RestartRecord,
     )
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the 128-bit LCG multiplier of PCG64 (M. E. O'Neill, HMC-CS-2014-0905).
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_pool(seed: int) -> "list[int]":
+    """The four-word entropy pool of numpy's ``SeedSequence(seed)``."""
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+class _Pcg64:
+    """The PCG64 generator (XSL-RR output) of numpy's ``default_rng(seed)``:
+    ``uniform`` draws the same doubles bit for bit, without ``numpy.random``."""
+
+    def __init__(self, seed: int) -> None:
+        pool = _seed_pool(int(seed))
+        hash_const = _INIT_B
+        half = []  # SeedSequence.generate_state(4, uint64), as 8 uint32 words
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * hash_const & _MASK32
+            half.append(value ^ value >> 16)
+        words = [half[k] | half[k + 1] << 32 for k in range(0, 8, 2)]
+        self.inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
+        self.state = (self.inc + (words[0] << 64 | words[1])) * _PCG_MULT + self.inc & _MASK128
+
+    def next64(self) -> int:
+        self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        rot = self.state >> 122
+        x = ((self.state >> 64) ^ self.state) & _MASK64
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def uniform(self, low: float, high: float, size: int) -> "list[float]":
+        return [low + (high - low) * ((self.next64() >> 11) * 2.0 ** -53) for _ in range(size)]
+
+
 def _starts(problem: OptimizationProblem) -> list[list[float]]:
     space = _Space(problem)
-    rng = np.random.default_rng(problem.seed)
+    rng = _Pcg64(problem.seed)
     starts = [space.encode(problem.x0) if problem.x0 is not None else space.default_start()]
     for _ in range(problem.restarts - 1):
-        starts.append(rng.uniform(-_RESTART_SPAN, _RESTART_SPAN, size=space.dim).tolist())
+        starts.append(rng.uniform(-_RESTART_SPAN, _RESTART_SPAN, space.dim))
     return starts
 
 
@@ -460,8 +543,11 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     """Maximize the key rate over the free source parameters.
 
     Deterministic per seed: the restart points are drawn from a seeded
-    generator and the result is the best evaluation over all restarts, with
-    ties broken toward the lexicographically smaller parameter vector.
+    generator, bit for bit the draws of numpy's
+    ``default_rng(seed).uniform``, and the result is the best evaluation
+    over all restarts, with ties broken toward the lexicographically
+    smaller parameter vector.  numpy serves only the simplex's argsort.
+    A symmetric search rejects an ``x0`` whose two sides differ.
     """
     coarse = [_run_restart(problem, start) for start in _starts(problem)]
     records = [rec for rec, _ in coarse]
@@ -476,22 +562,17 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     return OptimizeResult(records[best].params, records[best].rate, tuple(records))
 
 
-def scan(
-    problem: OptimizationProblem,
-    distances: "list[float]",
-    delta_L: float | None = None,
-) -> list[ScanPoint]:
+def scan(problem: OptimizationProblem, distances: "list[float]") -> list[ScanPoint]:
     """Optimize at each total distance, warm-starting from the previous one.
 
-    ``delta_L`` keeps L_A - L_B fixed across the scan; by default it is the
-    offset of ``problem.exp``'s own arms.
+    Every point keeps the L_A - L_B of ``problem.exp``'s own arms.
     Distances run in the given order so each point can reuse the previous
     optimum as one of its restarts.
     """
     points: list[ScanPoint] = []
     warm = problem.x0
     for L in distances:
-        exp_L = problem.exp.at_distance(L, delta_L)
+        exp_L = problem.exp.at_distance(L)
         sub = replace(problem, exp=exp_L, x0=warm)
         out = optimize(sub)
         plob1, plob2 = plob_bounds(exp_L.L_total, exp_L.alpha_f, exp_L.eta_d)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from snskit import channel
 from snskit.channel import (
     ObservedStats,
     SourceParams,
@@ -114,7 +115,7 @@ def test_transmittance_reference_value():
 
 
 def test_transmittance_asymmetric_arms():
-    exp = table1_exp(300.0).at_distance(300.0, delta=100.0)
+    exp = table1_exp(300.0, L_A=200.0, L_B=100.0)
     assert (exp.L_A, exp.L_B) == (200.0, 100.0)
     eta_a, eta_b = transmittance(exp)
     assert eta_a == pytest.approx(0.3 * 10 ** (-4.0), rel=1e-12, abs=0.0)
@@ -413,6 +414,20 @@ def test_x1_slice_series_term_count(m_slices):
     for a in _SERIES_AMPS:
         for amp in (a, -a):
             assert len(list(_slice_mean_excess_terms(amp, m_slices))) <= 25
+
+
+def test_x1_slice_series_is_summed_left_to_right(monkeypatch):
+    # A compensated sum (builtin sum() from Python 3.12) would keep the two
+    # 1e-16 terms that plain left-to-right addition rounds away.
+    exp = table1_exp(300.0)
+    x = y = 1e-3
+
+    def with_terms(terms):
+        monkeypatch.setattr(channel, "_slice_mean_excess_terms", lambda amp, m: iter(terms))
+        return _x1_error_probability(x, y, exp)
+
+    assert with_terms([1.0, 1e-16, 1e-16]) == with_terms([1.0])
+    assert with_terms([1.0, 2e-16]) != with_terms([1.0])
 
 
 @pytest.mark.parametrize("amp", [1.5, 2.0, 5.0, 8.0, 20.0, 50.0])

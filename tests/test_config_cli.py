@@ -17,6 +17,7 @@ from snskit.config import (
 from snskit.keyrate import evaluate
 
 ASYM_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "asym_scan.cfg"
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "table1_symmetric.cfg"
 
 BASE_CONFIG = """\
 # hardware
@@ -150,9 +151,10 @@ def test_build_config_checks_the_scan_grid(key, value):
 def test_build_config_checks_the_scan_grid_against_the_arm_offset():
     # Without opt.delta_L the scan keeps L_A - L_B, so the grid must fit it.
     values = parse_assignments(BASE_CONFIG.replace("exp.L_B     = 150", "exp.L_B     = 50"))
-    assert build_config(values).delta_L is None
+    build_config(values)
     values["opt.distances"] = "80,300"
-    with pytest.raises(ConfigError, match="opt.delta_L: at 80 km"):
+    with pytest.raises(ConfigError,
+                       match=r"opt.distances: at 80 km with exp.L_A - exp.L_B = 100\.0,"):
         build_config(values)
 
 
@@ -326,6 +328,61 @@ def test_cli_scan_keeps_the_configured_arm_offset(tmp_path):
     for path, out in zip(paths, outs):
         assert main(["scan", "--config", path, "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_build_config_rejects_an_offset_that_disagrees_with_the_arms(tmp_path, capsys):
+    # opt.delta_L may only restate L_A - L_B: 150 - 100 = 50 in the
+    # benchmark's config, so 0 would scan other arms than rate evaluates.
+    path = str(ASYM_CONFIG)
+    for command in ("scan", "rate"):
+        assert main([command, "--config", path, "--set", "opt.delta_L=0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: opt.delta_L = 0.0 differs from exp.L_A - exp.L_B = 50.0"
+        )
+    # Just beyond rounding, the message shows the values that differ.
+    values = parse_assignments(ASYM_CONFIG.read_text(encoding="utf-8"))
+    values["opt.delta_L"] = "50.00001"
+    with pytest.raises(ConfigError, match=r"= 50\.00001 differs from .* = 50\.0$"):
+        build_config(values)
+    # Rounding in the arms is not a disagreement.
+    values = parse_assignments(BASE_CONFIG.replace("exp.L_A     = 150", "exp.L_A     = 100.1")
+                               .replace("exp.L_B     = 150", "exp.L_B     = 50.05"))
+    values["opt.delta_L"] = "50.05"
+    build_config(values)
+
+
+@pytest.mark.parametrize("key,value", [("src.mu_z_b", "0.3"), ("src.p_z_b", "0.9")])
+def test_cli_symmetric_search_rejects_a_one_sided_source(capsys, key, value):
+    # A symmetric search would drop the _b value; rate, which does not
+    # search, evaluates the source as given (mu_z_b = 0.3 breaks the decoy
+    # constraint, p_z_b = 0.9 does not).
+    path = str(SHIPPED_CONFIG)
+    field = key.split(".", 1)[1]
+    for command in ("optimize", "scan"):
+        assert main([command, "--config", path, "--set", f"{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a symmetric search") and f"{field} = {value}" in err
+    rate_code = main(["rate", "--config", path, "--set", f"{key}={value}"])
+    out = capsys.readouterr()
+    if key == "src.mu_z_b":
+        assert rate_code == 2 and "decoy constraint" in out.err
+    else:
+        assert rate_code == 0 and out.err == ""
+
+
+@pytest.mark.parametrize("command", ["optimize", "tables"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    config = [] if command == "tables" else ["--config", _write(tmp_path, BASE_CONFIG)]
+    assert main([command, *config, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: seed must be a non-negative integer, got -1")
+
+
+def test_cli_optimize_takes_a_seed_of_several_words(tmp_path, capsys):
+    path = _write(tmp_path, BASE_CONFIG)
+    assert main(["optimize", "--config", path, "--seed", str(2**70 + 3)]) == 0
+    assert capsys.readouterr().out.startswith("evaluations")
 
 
 def test_cli_scan_unwritable_path_exit_code(tmp_path):

@@ -262,7 +262,7 @@ def test_vacuous_flag_set_covers_chain_failures_only():
 
 def test_evaluate_rejects_violated_constraint():
     src = replace(SourceParams.symmetric(**GOLDEN_SRC), mu1=0.092, mu2=0.3)
-    exp = table1_exp(300.0).at_distance(300.0, delta=100.0)
+    exp = table1_exp(300.0, L_A=200.0, L_B=100.0)
     with pytest.raises(ValueError):
         evaluate(exp, src)
 
@@ -277,7 +277,7 @@ def test_evaluate_rejects_asymmetric_source_on_equal_arms():
 
 def test_evaluate_symmetric_source_on_unequal_arms(golden_src):
     # A symmetric source meets the constraint by construction on any arms.
-    exp = table1_exp(300.0).at_distance(300.0, delta=100.0)
+    exp = table1_exp(300.0, L_A=200.0, L_B=100.0)
     assert evaluate(exp, golden_src).R >= 0.0
 
 
@@ -286,7 +286,7 @@ def test_evaluate_flags_negative_secret_margin(golden_src):
     # leaves a negative secret margin; the zero rate names that cause.
     from snskit.keyrate import VACUOUS_FLAGS
 
-    rep = evaluate(table1_exp(300.0).at_distance(300.0, delta=100.0), golden_src)
+    rep = evaluate(table1_exp(300.0, L_A=200.0, L_B=100.0), golden_src)
     assert rep.R == 0.0 and not rep.secure
     assert rep.flags == ("negative-secret-margin",)
     assert "negative-secret-margin" not in VACUOUS_FLAGS
@@ -311,7 +311,7 @@ def test_evaluate_asymmetric_arms_with_valid_constraint():
         tweaked.eps_b * (1 - tweaked.eps) * tweaked.mu_z_b * math.exp(-tweaked.mu_z_b)
     )
     src = replace(tweaked, mu1_b=tweaked.mu1 / ratio)
-    exp = table1_exp(300.0).at_distance(300.0, delta=100.0)
+    exp = table1_exp(300.0, L_A=200.0, L_B=100.0)
     rep = evaluate(exp, src)
     assert rep.R >= 0.0  # runs through; feasibility is all this checks
 

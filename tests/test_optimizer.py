@@ -342,7 +342,7 @@ _ORACLE_RESTARTS = {
     "symmetric": (lambda: _small_problem(restarts=1, max_evals=1000), 0),
     # A 13-dim restart that meets infeasible corners during its descent.
     "asymmetric": (lambda: OptimizationProblem(
-        exp=table1_exp(250.0).at_distance(250.0, 100.0), mode="asymmetric",
+        exp=table1_exp(250.0, L_A=175.0, L_B=75.0), mode="asymmetric",
         max_evals=120, seed=3,
     ), 6),
     # The first restart of the cold seed-1 440 km method-A optimize: its
@@ -519,8 +519,10 @@ def test_scan_warm_start_not_worse_than_cold():
 
 
 def test_scan_asymmetric_keeps_arm_offset():
-    problem = _small_problem(mode="asymmetric", restarts=1, max_evals=60)
-    pts = scan(problem, [300.0], delta_L=100.0)
+    problem = _small_problem(
+        exp=table1_exp(300.0, L_A=200.0, L_B=100.0), mode="asymmetric", restarts=1, max_evals=60
+    )
+    pts = scan(problem, [300.0])
     assert pts[0].L_total == 300.0
     # plob values correspond to the total distance regardless of the split
     assert pts[0].plob1 == pytest.approx(1.4427e-6, rel=1e-3)
@@ -530,9 +532,10 @@ def test_scan_asymmetric_positive_rates_over_range():
     # Arm offset of 100 km, warm-started chain at the default restart count:
     # rates stay positive across the mid-range distances.
     problem = OptimizationProblem(
-        exp=table1_exp(250.0), mode="asymmetric", restarts=8, max_evals=2000, seed=3
+        exp=table1_exp(250.0, L_A=175.0, L_B=75.0), mode="asymmetric", restarts=8,
+        max_evals=2000, seed=3,
     )
-    pts = scan(problem, [250.0, 300.0, 350.0], delta_L=100.0)
+    pts = scan(problem, [250.0, 300.0, 350.0])
     assert all(pt.rate > 0.0 for pt in pts)
     assert all(pt.params is not None for pt in pts)
 
@@ -545,6 +548,11 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# Modules a search must not load: the restart starts come from an in-package
+# PCG64, not numpy.random, which would bring hashlib and secrets with it.
+_SEARCH_FREE_MODULES = ("scipy.optimize", "numpy.random", "hashlib", "secrets")
 
 
 def test_optimize_and_cli_scan_load_no_scipy_optimize(tmp_path):
@@ -565,9 +573,53 @@ def test_optimize_and_cli_scan_load_no_scipy_optimize(tmp_path):
         "exp = TABLE2_EXP.at_distance(300.0)\n"
         "optimize(OptimizationProblem(exp=exp, restarts=2, max_evals=30))\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        f"print(sorted(set({_SEARCH_FREE_MODULES!r}) & set(sys.modules)))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
     assert csv.read_text().count("\n") == 2  # header and one row
+
+
+# Seeds for the PCG64 port: small ones, and ones of two to seven 32-bit words.
+_PCG_SEEDS = [*range(60), 2**32 + 5, 2**64, 2**70 + 3, 2**128 + 7, 2**200 + 11, 123456789]
+
+
+@pytest.mark.parametrize("dim", [7, 13])
+def test_pcg64_port_draws_numpy_default_rng_uniform_bit_for_bit(dim):
+    import numpy as np
+
+    for seed in _PCG_SEEDS:
+        port, oracle = optimizer._Pcg64(seed), np.random.default_rng(seed)
+        for draw in range(4):  # successive draws continue one stream
+            expected = oracle.uniform(-2.0, 2.0, size=dim).tolist()
+            assert port.uniform(-2.0, 2.0, dim) == expected, (seed, draw)
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("warm", [False, True])
+def test_starts_are_numpys_restart_draws(mode, warm):
+    import numpy as np
+
+    problem = _small_problem(mode=mode, restarts=8, seed=2**70 + 3,
+                             x0=SourceParams.symmetric(**GOLDEN_SRC) if warm else None)
+    space = _Space(problem)
+    rng = np.random.default_rng(problem.seed)
+    expected = [space.encode(problem.x0) if warm else space.default_start()]
+    expected += [rng.uniform(-2.0, 2.0, size=space.dim).tolist() for _ in range(7)]
+    assert optimizer._starts(problem) == expected
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, 1.5, True, "1", None])
+def test_problem_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        _small_problem(seed=seed)
+
+
+@pytest.mark.parametrize("field,value", [("p_z_b", 0.9), ("mu1_b", 0.05), ("mu_z_b", 0.3)])
+def test_symmetric_search_rejects_a_one_sided_source(field, value):
+    src = replace(SourceParams.symmetric(**GOLDEN_SRC), **{field: value})
+    with pytest.raises(ValueError, match=f"symmetric source, but {field} = {value} differs"):
+        optimize(_small_problem(x0=src))
+    # An asymmetric search takes it as a warm start.
+    assert optimize(_small_problem(mode="asymmetric", x0=src, restarts=1, max_evals=5)).restarts
