@@ -17,8 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Integral
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ExperimentalParams",
@@ -34,29 +37,12 @@ __all__ = [
     "simulate",
 ]
 
-# Largest intensity a source may set: e^(+-mu) stays a finite, normal float
-# below it (the same span as stats._LOG_SPAN).
-_MAX_INTENSITY = 690.0
-
-# The slice average of the wrong-click probability is a power series in the
-# interference amplitude (see _slice_mean_excess_terms).  Its terms alternate,
-# so past |amp| = 1 it loses digits (5e-13 relative at amp = 5, 4e-8 at 10
-# with 16 slices); there the 64-point Gauss-Legendre rule of _gl_rule takes
-# over.  The integrand is entire, so the rule is converged for any slice
-# count >= 2.
-_SERIES_MAX_AMP = 1.0
-_SERIES_RTOL = 1e-18  # a term this far below the running sum ends the series
-
-
-@lru_cache(maxsize=1)
-def _gl_rule() -> tuple[tuple[float, float], ...]:
-    """(node, weight) pairs of the 64-point Gauss-Legendre rule on [-1, 1].
-
-    Built on first use: only |amp| > 1 needs it, and building it imports
-    numpy.polynomial.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    return tuple(zip(nodes.tolist(), weights.tolist()))
+# Largest intensity a source may set, and the top of the optimizer's search
+# box.  Behind a transmittance of at most 1 every arriving intensity is then
+# at most 1 too, so the I0 series of heralded_rate and the slice series of
+# _slice_mean_excess_terms converge within 22 terms.
+_MAX_INTENSITY = 1.0
+_SERIES_RTOL = 1e-18  # a term this far below the running sum ends a series
 
 
 @dataclass(frozen=True)
@@ -101,8 +87,9 @@ class ExperimentalParams:
             raise ValueError(
                 f"arm lengths must be finite and non-negative, got {self.L_A}, {self.L_B}"
             )
-        if not (self.M_slices >= 1):
-            raise ValueError(f"M_slices must be >= 1, got {self.M_slices}")
+        m = self.M_slices
+        if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+            raise ValueError(f"M_slices must be an integer >= 1, got {m!r}")
 
     @property
     def L_total(self) -> float:
@@ -124,8 +111,8 @@ class SourceParams:
     eps    probability of deciding to send in a signal window
     p0     probability of the vacuum source in a decoy window
     p1     probability of the weaker decoy intensity mu1
-    mu1, mu2  decoy intensities (0 < mu1 < mu2)
-    mu_z   signal intensity
+    mu1, mu2  decoy intensities (0 < mu1 < mu2 <= 1)
+    mu_z   signal intensity (0 < mu_z <= 1)
 
     Sources order lexicographically in field order; the optimizer breaks
     ties between equal rates toward the smaller one.
@@ -264,9 +251,16 @@ def transmittance(exp: ExperimentalParams) -> tuple[float, float]:
 
 
 def _i0_minus_1(z: float) -> float:
-    # I0(z) - 1 without cancellation, for z < 0.1 (truncation below 1e-19).
+    # I0(z) - 1 = sum_k (z^2/4)^k / (k!)^2 over k >= 1: positive terms, about
+    # ten of them at z = 1.
     q = 0.25 * z * z
-    return q * (1.0 + q * (0.25 + q * (1.0 / 36.0 + q * (1.0 / 576.0 + q / 14400.0))))
+    term = total = q
+    k = 1
+    while term > _SERIES_RTOL * total:
+        k += 1
+        term *= q / (k * k)
+        total += term
+    return total
 
 
 def heralded_rate(x: float, y: float, p_d: float) -> float:
@@ -280,25 +274,20 @@ def heralded_rate(x: float, y: float, p_d: float) -> float:
         2(1-p_d) e^(-(x+y)/2) I0(sqrt(x*y)) - 2(1-p_d)^2 e^(-(x+y)).
 
     Evaluated here in an algebraically identical form that stays accurate
-    when both intensities are far below the dark-count rate.  From
-    sqrt(x*y) = 0.1 on there is no cancellation to avoid, and the scaled
-    Bessel function keeps e^(-(x+y)/2) I0(sqrt(x*y)) finite at any intensity.
+    when both intensities are far below the dark-count rate.  Each intensity
+    must lie in [0, 1], the most a source of at most _MAX_INTENSITY delivers
+    through a transmittance of at most 1.
     """
-    if x < 0.0 or y < 0.0:
-        raise ValueError(f"intensities must be non-negative, got {x}, {y}")
+    # Comparisons are written to be False for NaN, so NaN fails them.
+    if not (0.0 <= x <= _MAX_INTENSITY and 0.0 <= y <= _MAX_INTENSITY):
+        raise ValueError(
+            f"arriving intensities must lie in [0, {_MAX_INTENSITY:g}], got {x}, {y}"
+        )
     if not (0.0 <= p_d <= 1.0):
         raise ValueError(f"dark-count probability must lie in [0, 1], got {p_d}")
     s = x + y
-    z = math.sqrt(x * y)
-    if z < 0.1:
-        core = math.expm1(0.5 * s) + math.exp(0.5 * s) * _i0_minus_1(z) + p_d
-        return 2.0 * (1.0 - p_d) * math.exp(-s) * core
-    from scipy.special import i0e  # deferred: import snskit loads no scipy
-
-    # e^(-s/2) I0(z) = i0e(z) e^(z - s/2), and z - s/2 <= 0.
-    return 2.0 * (1.0 - p_d) * (
-        float(i0e(z)) * math.exp(z - 0.5 * s) - (1.0 - p_d) * math.exp(-s)
-    )
+    core = math.expm1(0.5 * s) + math.exp(0.5 * s) * _i0_minus_1(math.sqrt(x * y)) + p_d
+    return 2.0 * (1.0 - p_d) * math.exp(-s) * core
 
 
 def _count(window: float, rate: float, rng: np.random.Generator | None) -> int:
@@ -344,15 +333,6 @@ def simulate_decoy_observables(
         if size < 1.0:
             flags.append(f"degenerate-window:{w}")
     return counts, tuple(flags)
-
-
-def _wrong_click_probability(delta: float, half: float, amp: float, p_d: float) -> float:
-    # Only the destructive-port detector fires.
-    mu_right = half + amp * math.cos(delta)
-    mu_wrong = half - amp * math.cos(delta)
-    silent_right = (1.0 - p_d) * math.exp(-mu_right)
-    fire_wrong = 1.0 - (1.0 - p_d) * math.exp(-mu_wrong)
-    return fire_wrong * silent_right
 
 
 @lru_cache(maxsize=None)
@@ -416,13 +396,6 @@ def _x1_error_probability(x: float, y: float, exp: ExperimentalParams) -> float:
     half = 0.5 * (x + y)
     root_xy = math.sqrt(x * y)
     amp = (1.0 - 2.0 * exp.e_d) * root_xy
-    if abs(amp) > _SERIES_MAX_AMP:
-        b = math.pi / exp.M_slices
-        # Average over [0, b]; the integrand is even so this equals [-b, b].
-        return 0.5 * math.fsum(
-            w * _wrong_click_probability(0.5 * b * (t + 1.0), half, amp, exp.p_d)
-            for t, w in _gl_rule()
-        )
     excess = 0.0
     for term in _slice_mean_excess_terms(amp, exp.M_slices):
         excess += term  # left to right; sum() compensates from Python 3.12
@@ -449,12 +422,12 @@ def simulate_x1_error(
 
         (1-p_d) e^(-half) [(A - e^(-amp)) - e^(-amp) expm1(-(half-amp)) + p_d e^(-half)]
 
-    with A the slice mean of e^(-amp cos delta).  For |amp| <= 1, which
-    every source with intensities up to 1 meets, A - e^(-amp) is a power
-    series (_slice_mean_excess_terms) and half - amp = (sqrt x - sqrt y)^2/2
-    + 2 e_d sqrt(x*y) is formed without cancellation; for e_d <= 1/2 the
-    three bracket terms are then all non-negative.  Larger amplitudes
-    average over the 64-point Gauss-Legendre rule.
+    with A the slice mean of e^(-amp cos delta).  Every source has
+    |amp| <= 1 (intensities up to _MAX_INTENSITY), so A - e^(-amp) is a
+    power series of at most 22 terms (_slice_mean_excess_terms), and
+    half - amp = (sqrt x - sqrt y)^2/2 + 2 e_d sqrt(x*y) is formed without
+    cancellation; for e_d <= 1/2 the three bracket terms are then all
+    non-negative.
     """
     eta_a, eta_b = transmittance(exp)
     size = exp.N * (1.0 - src.p_z) * (1.0 - src.p_z_b) * src.p1 * src.p1_b * (2.0 / exp.M_slices)
@@ -523,7 +496,11 @@ def simulate(
     seed: int | None = None,
 ) -> ObservedStats:
     """Run the full linear-model simulation and assemble the observed record."""
-    rng = np.random.default_rng(seed) if seed is not None else None
+    rng = None
+    if seed is not None:
+        import numpy as np  # sampling only: the deterministic counts need no numpy
+
+        rng = np.random.default_rng(seed)
     counts, flags = simulate_decoy_observables(exp, src, rng)
     size_x1, m_x1, x1_flags = simulate_x1_error(exp, src, rng)
     n_c0, n_c1, n_v, n_d = simulate_z_counts(exp, src, rng)

@@ -48,7 +48,7 @@ from numbers import Integral
 import numpy as np
 
 from .budget import SecurityBudget
-from .channel import ExperimentalParams, SourceParams, constraint_ratio
+from .channel import _MAX_INTENSITY, ExperimentalParams, SourceParams, constraint_ratio
 from .keyrate import evaluate, plob_bounds
 
 __all__ = [
@@ -63,7 +63,7 @@ __all__ = [
 _SIMPLEX_STEP = 0.25  # initial simplex edge in transformed coordinates
 _RESTART_SPAN = 2.0  # random restarts draw each coordinate uniformly from [-span, span]
 _P_LO, _P_HI = 1e-4, 1.0 - 1e-4  # the search box (see OptimizationProblem)
-_MU_LO, _MU_HI = 1e-4, 1.0
+_MU_LO, _MU_HI = 1e-4, _MAX_INTENSITY  # the box ends where SourceParams does
 _COARSE_RTOL = 1e-3  # relative spread of the simplex's rates at which every restart stops
 _RTOL = 1e-5  # ... and at which the leading restart, resumed, stops
 # Objective of R = 0 and of infeasible corners: above -ln R of any positive
@@ -113,8 +113,10 @@ class OptimizationProblem:
             raise ValueError(f"method must be 'A' or 'B', got {self.method!r}")
         if self.zigzag_mode not in ("approx", "exact"):
             raise ValueError(f"zigzag_mode must be 'approx' or 'exact', got {self.zigzag_mode!r}")
-        if self.restarts < 1 or self.max_evals < 1:
-            raise ValueError("restarts and max_evals must be positive")
+        for name in ("restarts", "max_evals"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -14,11 +14,12 @@ Two modes cover the last two steps: "approx" uses the closed-form Gaussian
 quantiles (2.33 at 1e-2, 6.36 at 1e-10) and is the default; "exact"
 inverts the binomial tails, which is a little tighter and serves as
 cross-validation.  Exact mode finds e_tau with one inverse regularized
-incomplete beta call and M_bar_s with a bracketed integer bisection, so it
-costs about as much as approx mode.  The Gaussian constants hold only at
-the default tail levels, so approx mode rejects any other xi_tau or
-xi_tau_tilde; exact mode takes any level, and a level of 1 (the
-fluctuation-free switch) uses the expectation in place of the tail.
+incomplete beta call and M_bar_s with a bracketed integer bisection over
+binomial tails; those two tail inversions make an exact evaluation cost
+about twice an approx one.  The Gaussian constants hold only at the default
+tail levels, so approx mode rejects any other xi_tau or xi_tau_tilde; exact
+mode takes any level, and a level of 1 (the fluctuation-free switch) uses
+the expectation in place of the tail.
 """
 
 from __future__ import annotations

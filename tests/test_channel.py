@@ -83,19 +83,29 @@ def test_source_params_reject_nan_and_inf_intensities(name, value):
         SourceParams(**fields)
 
 
-def test_source_params_intensity_limit_is_690():
-    # e^(+-mu) stays finite up to 690; past it, mu2 = 800 would overflow
-    # math.exp inside the decoy bounds.
-    at_limit = SourceParams.symmetric(**{**GOLDEN_SRC, "mu1": 689.0, "mu2": 690.0, "mu_z": 690.0})
-    assert at_limit.mu2 == at_limit.mu_z_b == 690.0
-    above = math.nextafter(690.0, math.inf)
+def test_source_params_intensity_limit_is_1():
+    # The optimizer's box ends at intensity 1, and so does every source.
+    at_limit = SourceParams.symmetric(**{**GOLDEN_SRC, "mu1": 0.99, "mu2": 1.0, "mu_z": 1.0})
+    assert at_limit.mu2 == at_limit.mu_z_b == 1.0
+    above = math.nextafter(1.0, math.inf)
     for name, value in [("mu2", above), ("mu_z", above), ("mu2_b", above), ("mu_z_b", above),
-                        ("mu2", 800.0)]:
+                        ("mu_z", 2.0), ("mu2", 690.0)]:
         fields = dict(GOLDEN_SRC)
         fields.update({f"{k}_b": v for k, v in GOLDEN_SRC.items()})
         fields[name] = value
-        with pytest.raises(ValueError, match="intensities"):
+        with pytest.raises(ValueError, match=r"intensities .*1\b"):
             SourceParams(**fields)
+
+
+@pytest.mark.parametrize("value", [16.5, 16.0, True, "16"])
+def test_experimental_params_reject_non_integer_slices(value):
+    # A float count of 16.5 would accept a phase fraction of 2/16.5.
+    with pytest.raises(ValueError, match="^M_slices must be an integer"):
+        table1_exp(300.0, M_slices=value)
+
+
+def test_experimental_params_accept_numpy_integer_slices():
+    assert table1_exp(300.0, M_slices=np.int64(32)).M_slices == 32
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +180,15 @@ def test_heralded_rate_rejects_negative_intensity():
         heralded_rate(-1e-9, 0.1, 1e-8)
 
 
+@pytest.mark.parametrize(
+    "x,y", [(math.nextafter(1.0, 2.0), 0.1), (0.1, 2.0), (600.0, 600.0), (_NAN, 0.1), (0.1, _NAN)]
+)
+def test_heralded_rate_rejects_intensity_above_1_or_nan(x, y):
+    # No source of at most 1 behind a transmittance of at most 1 delivers more.
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        heralded_rate(x, y, 1e-8)
+
+
 def _phase_average_mc(x: float, y: float, p_d: float, samples: int, seed: int):
     """Monte-Carlo phase-averaging oracle: sample the relative phase, compute
     the per-detector Poisson click probabilities, average the exactly-one
@@ -205,28 +224,21 @@ def test_heralded_rate_against_phase_mc(x, y):
 
 
 @pytest.mark.parametrize(
-    "x,y", [(0.1, 0.1), (0.05, 0.2), (1.0, 3.0), (0.01, 400.0), (10.0, 10.0), (100.0, 100.0)]
+    "x,y",
+    [
+        (1e-9, 1e-9), (1e-4, 1e-2), (0.02, 0.02),  # sqrt(x*y) < 0.1
+        (0.1, 0.1), (0.05, 0.2), (0.02, 0.5), (0.3, 0.3), (0.25, 1.0), (0.5, 0.5),
+        (0.6, 0.9), (1.0, 1.0),
+    ],
 )
-def test_heralded_rate_scaled_bessel_branch(x, y):
-    # From sqrt(x*y) = 0.1 on the rate uses i0e; it must agree with the
-    # unscaled form wherever that one stays finite.
-    from scipy.special import i0
-
-    s = x + y
+def test_heralded_rate_against_mpmath_oracle(x, y):
+    # The I0 series runs to sqrt(x*y) = 1, the largest arriving intensity.
+    mp = pytest.importorskip("mpmath")
     for p_d in (0.0, 1e-8, 1e-3):
-        core = math.expm1(s / 2) + math.exp(s / 2) * (float(i0(math.sqrt(x * y))) - 1.0) + p_d
-        want = 2.0 * (1.0 - p_d) * math.exp(-s) * core
-        assert heralded_rate(x, y, p_d) == pytest.approx(want, rel=1e-13, abs=0.0)
-
-
-def test_heralded_rate_finite_at_large_intensity():
-    # e^(s/2) I0(600) overflows to inf and e^(-1200) to 0, so the unscaled
-    # form gives inf * 0 = NaN here.
-    z = 600.0
-    asymptotic = (1.0 + 1.0 / (8 * z) + 9.0 / (128 * z * z)) / math.sqrt(2.0 * math.pi * z)
-    assert heralded_rate(z, z, 1e-8) == pytest.approx(
-        2.0 * (1.0 - 1e-8) * asymptotic, rel=1e-8, abs=0.0
-    )
+        with mp.workdps(40):
+            s, z, keep = mp.mpf(x) + mp.mpf(y), mp.sqrt(mp.mpf(x) * mp.mpf(y)), 1 - mp.mpf(p_d)
+            want = float(2 * keep * mp.exp(-s / 2) * mp.besseli(0, z) - 2 * keep**2 * mp.exp(-s))
+        assert heralded_rate(x, y, p_d) == pytest.approx(want, rel=1e-13, abs=0.0), p_d
 
 
 # ---------------------------------------------------------------------------
@@ -430,26 +442,26 @@ def test_x1_slice_series_is_summed_left_to_right(monkeypatch):
     assert with_terms([1.0, 2e-16]) != with_terms([1.0])
 
 
-@pytest.mark.parametrize("amp", [1.5, 2.0, 5.0, 8.0, 20.0, 50.0])
-@pytest.mark.parametrize("m_slices", [2, 16, 64])
-def test_x1_large_amplitude_keeps_gauss_legendre(amp, m_slices):
-    # Past |amp| = 1 the alternating series loses digits (5e-11 at amp = 8,
-    # 5e-9 at amp = 10 with 16 slices and e_d = 0.03).
-    exp = table1_exp(300.0, e_d=0.03, M_slices=m_slices)
-    x = amp / (1.0 - 2.0 * exp.e_d)
-    got = _x1_error_probability(x, x, exp)
-    assert got == pytest.approx(_gauss_legendre_64(x, x, exp), rel=1e-12, abs=0.0)
-
-
-def test_import_builds_no_gauss_legendre_rule():
-    # Only |amp| > 1 needs the rule, so import leaves numpy.polynomial out.
+def test_approx_evaluate_at_full_intensity_loads_no_scipy():
+    # At 0 km intensities near 1 arrive with sqrt(x*y) up to 0.3; the I0
+    # series covers that, and every amplitude stays within the slice series.
     import subprocess
     import sys
 
-    code = "import sys, snskit; print('numpy.polynomial' in sys.modules)"
+    code = (
+        "import sys\n"
+        "from snskit import SourceParams, evaluate\n"
+        "from snskit.tables import TABLE2_EXP\n"
+        "src = SourceParams.symmetric(p_z=0.7, eps=0.25, p0=0.6, p1=0.3,"
+        " mu1=0.5, mu2=0.9, mu_z=1.0)\n"
+        "for method in ('A', 'B'):\n"
+        "    evaluate(TABLE2_EXP.at_distance(0.0), src, method=method)\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy', 'numpy.polynomial'))))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("L_total", [0.0, 100.0, 250.0, 300.0, 440.0, 600.0])

@@ -371,6 +371,12 @@ def test_cli_symmetric_search_rejects_a_one_sided_source(capsys, key, value):
         assert rate_code == 0 and out.err == ""
 
 
+def test_cli_source_brighter_than_1_is_a_config_error(capsys):
+    assert main(["rate", "--config", str(SHIPPED_CONFIG), "--set", "src.mu_z=2"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: invalid src parameters: signal intensities must lie in (0, 1]")
+
+
 @pytest.mark.parametrize("command", ["optimize", "tables"])
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
     config = [] if command == "tables" else ["--config", _write(tmp_path, BASE_CONFIG)]

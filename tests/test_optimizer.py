@@ -551,8 +551,11 @@ def test_import_loads_no_scipy():
 
 
 # Modules a search must not load: the restart starts come from an in-package
-# PCG64, not numpy.random, which would bring hashlib and secrets with it.
-_SEARCH_FREE_MODULES = ("scipy.optimize", "numpy.random", "hashlib", "secrets")
+# PCG64, not numpy.random, which would bring hashlib and secrets with it, and
+# an approx evaluation needs neither scipy nor numpy.polynomial.
+_SEARCH_FREE_MODULES = (
+    "scipy", "scipy.optimize", "numpy.random", "numpy.polynomial", "hashlib", "secrets",
+)
 
 
 def test_optimize_and_cli_scan_load_no_scipy_optimize(tmp_path):
@@ -614,6 +617,25 @@ def test_starts_are_numpys_restart_draws(mode, warm):
 def test_problem_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
         _small_problem(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("restarts", 2.5), ("restarts", 2.0), ("restarts", True), ("restarts", 0),
+     ("max_evals", 10.5), ("max_evals", "10"), ("max_evals", -1)],
+)
+def test_problem_rejects_counts_that_are_not_positive_integers(field, value):
+    # A float restarts failed in range() inside optimize; max_evals = 10.5 ran
+    # as a cap of 11.
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer, got {value!r}"):
+        _small_problem(**{field: value})
+
+
+def test_problem_accepts_numpy_integer_counts():
+    import numpy as np
+
+    problem = _small_problem(restarts=np.int64(1), max_evals=np.int32(5))
+    assert len(optimize(problem).restarts) == 1
 
 
 @pytest.mark.parametrize("field,value", [("p_z_b", 0.9), ("mu1_b", 0.05), ("mu_z_b", 0.3)])
