@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .channel import SourceParams
 from .config import ConfigError, RunConfig, parse_config
@@ -111,17 +111,13 @@ def _scan_csv_rows(cfg: RunConfig) -> "list[str]":
     problem = cfg.problem
     param_cols = _PARAM_FIELDS[:7] if problem.mode == "symmetric" else _PARAM_FIELDS
     rows = ["L_km,R_A,R_B,plob1,plob2," + ",".join(param_cols)]
-    points_a, points_b = (
-        scan(replace(problem, method=method), list(cfg.distances))
-        for method in ("A", "B")
-    )
-    for pt_a, pt_b in zip(points_a, points_b):
-        best = pt_b.params if pt_b.params is not None else pt_a.params
+    for pt in scan(problem, list(cfg.distances)):
+        best = pt.b.params if pt.b.params is not None else pt.a.params
         params = (["nan"] * len(param_cols) if best is None
                   else [f"{getattr(best, name):.17g}" for name in param_cols])
         rows.append(
-            f"{pt_a.L_total:.6g},{_sci(pt_a.rate)},{_sci(pt_b.rate)},"
-            f"{_sci(pt_a.plob1)},{_sci(pt_a.plob2)}," + ",".join(params)
+            f"{pt.L_total:.6g},{_sci(pt.a.rate)},{_sci(pt.b.rate)},"
+            f"{_sci(pt.plob1)},{_sci(pt.plob2)}," + ",".join(params)
         )
     return rows
 
@@ -142,8 +138,8 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_tables(seed: int, restarts: int, max_evals: int) -> int:
-    rows2 = compute_table2(seed=seed, restarts=restarts, max_evals=max_evals)
+def cmd_tables(seed: int) -> int:
+    rows2 = compute_table2(seed=seed)
     print(format_rows("Benchmark rates, default hardware, N = 1e12 (symmetric)", rows2))
     print()
     print("Repeater-less bounds against their published values:")
@@ -155,7 +151,7 @@ def cmd_tables(seed: int, restarts: int, max_evals: int) -> int:
             f"{row.plob2:>11.3e}  {ref2:>11.3e}"
         )
     print()
-    rows3 = compute_table3(seed=seed, restarts=restarts, max_evals=max_evals)
+    rows3 = compute_table3(seed=seed)
     print(format_rows("Benchmark rates, published-experiment hardware, N = 2e13", rows3))
     return EXIT_OK
 
@@ -193,8 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tables = sub.add_parser("tables", help="recompute the built-in benchmark tables")
     p_tables.add_argument("--seed", type=int, default=1)
-    p_tables.add_argument("--restarts", type=int, default=OptimizationProblem.restarts)
-    p_tables.add_argument("--max-evals", type=int, default=OptimizationProblem.max_evals)
 
     p_plob = sub.add_parser("plob", help="print repeater-less bounds")
     p_plob.add_argument("distances", nargs="+", type=float, help="total distances in km")
@@ -209,7 +203,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.command == "plob":
             return cmd_plob(args.alpha_f, args.eta_d, args.distances)
         if args.command == "tables":
-            return cmd_tables(args.seed, args.restarts, args.max_evals)
+            return cmd_tables(args.seed)
         # Each flag overrides its config key, after every --set.
         flags = {"run.method": args.method, "run.zigzag": args.mode,
                  "opt.seed": args.seed, "run.out": getattr(args, "out", None)}

@@ -130,11 +130,10 @@ def evaluate(
     method: str = "A",
     mode: str = "approx",
     budget: SecurityBudget = SecurityBudget(),
-    seed: int | None = None,
 ) -> KeyRateReport:
     """Simulate, estimate, and assemble the full key-rate report.
 
-    Deterministic unless a sampling seed is given.  Any vacuous bound along
+    Deterministic: it scores the expected counts.  Any vacuous bound along
     the way forces R = 0 while keeping the flag in the report.  A rate that
     key_rate clamps to 0 because the secret margin (the survived untagged
     bits' secrecy minus error correction and the failure-probability terms)
@@ -148,7 +147,7 @@ def evaluate(
                 "asymmetric sources must satisfy the decoy constraint: "
                 f"residual {residual:.3e} exceeds 1e-9"
             )
-    obs = simulate(exp, src, seed)
+    obs = simulate(exp, src)
     bounds = estimate_untagged(obs, exp, src, budget, method)
     zz = run_zigzag(bounds, obs, budget, mode)
     flags = obs.flags + bounds.flags + zz.flags

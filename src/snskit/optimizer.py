@@ -154,6 +154,9 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The best evaluation of one ``optimize`` over all its restarts (params
+    None and rate 0.0 when none was positive), and one record per restart."""
+
     params: SourceParams | None
     rate: float
     restarts: tuple[RestartRecord, ...]
@@ -171,11 +174,14 @@ class OptimizeResult:
 
 @dataclass(frozen=True)
 class ScanPoint:
+    """Method A's (Chernoff) and method B's (McDiarmid) ``optimize`` results
+    at one total distance of a ``scan``, and the repeater-less bounds there."""
+
     L_total: float
-    rate: float
+    a: OptimizeResult
+    b: OptimizeResult
     plob1: float
     plob2: float
-    params: SourceParams | None
 
 
 def _expit(t: float) -> float:
@@ -565,20 +571,28 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
 
 
 def scan(problem: OptimizationProblem, distances: "list[float]") -> list[ScanPoint]:
-    """Optimize at each total distance, warm-starting from the previous one.
+    """Optimize both estimators at each total distance.
 
-    Every point keeps the L_A - L_B of ``problem.exp``'s own arms.
-    Distances run in the given order so each point can reuse the previous
-    optimum as one of its restarts.
+    Runs method A's chain over ``distances``, then method B's;
+    ``problem.method`` is not read.  In each chain a point warm-starts from
+    the previous point's optimum (the first from ``problem.x0``), and every
+    point keeps the L_A - L_B of ``problem.exp``'s own arms.  After both
+    chains, a method that found no source at a distance where the other did
+    is optimized once more there, starting from the other's optimum.
     """
-    points: list[ScanPoint] = []
-    warm = problem.x0
-    for L in distances:
-        exp_L = problem.exp.at_distance(L)
-        sub = replace(problem, exp=exp_L, x0=warm)
-        out = optimize(sub)
-        plob1, plob2 = plob_bounds(exp_L.L_total, exp_L.alpha_f, exp_L.eta_d)
-        points.append(ScanPoint(L, out.rate, plob1, plob2, out.params))
-        if out.params is not None and out.rate > 0.0:
-            warm = out.params
+    exps = [problem.exp.at_distance(L) for L in distances]
+    chains = []
+    for method in ("A", "B"):
+        warm, chain = problem.x0, []
+        for exp_L in exps:
+            chain.append(optimize(replace(problem, method=method, exp=exp_L, x0=warm)))
+            warm = chain[-1].params or warm
+        chains.append(chain)
+    points = []
+    for L, exp_L, a, b in zip(distances, exps, *chains):
+        if a.params is None and b.params is not None:
+            a = optimize(replace(problem, method="A", exp=exp_L, x0=b.params))
+        elif b.params is None and a.params is not None:
+            b = optimize(replace(problem, method="B", exp=exp_L, x0=a.params))
+        points.append(ScanPoint(L, a, b, *plob_bounds(exp_L.L_total, exp_L.alpha_f, exp_L.eta_d)))
     return points

@@ -3,14 +3,14 @@
 Two standard comparisons ship with the package: the symmetric Table-II
 setting (the default hardware at 250/390/420/440 km with 1e12 pulse pairs)
 and the Table-III setting that reuses two published experiments' hardware
-parameters at 402 and 502 km with 2e13 pulse pairs.  ``compute_*`` runs the
-optimizer for both estimation methods and returns rows carrying computed
-values, reference values and their ratios.
+parameters at 402 and 502 km with 2e13 pulse pairs.  ``compute_*`` runs one
+``scan`` of both estimation methods per setting, at the default search
+budget, and returns rows of computed values, references and their ratios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .budget import SecurityBudget
 from .channel import ExperimentalParams
@@ -87,37 +87,26 @@ class TableRow:
         return self.rate_b / self.ref_b if self.ref_b else float("nan")
 
 
-def _rows(
-    problem: OptimizationProblem,
-    distances: "tuple[float, ...]",
-    references: "list[tuple[float, float]]",
-) -> list[TableRow]:
-    """Scan method A, then method B, and pair each distance with its
-    published (A, B) rates."""
-    points_a, points_b = (
-        scan(replace(problem, method=method), list(distances)) for method in ("A", "B")
-    )
+def _rows(problem: OptimizationProblem, distances: "tuple[float, ...]",
+          references: "list[tuple[float, float]]") -> list[TableRow]:
+    """Scan both methods and pair each distance with its published (A, B) rates."""
     return [
-        TableRow(a.L_total, a.rate, b.rate, ref_a, ref_b, a.plob1, a.plob2)
-        for a, b, (ref_a, ref_b) in zip(points_a, points_b, references)
+        TableRow(pt.L_total, pt.a.rate, pt.b.rate, ref_a, ref_b, pt.plob1, pt.plob2)
+        for pt, (ref_a, ref_b) in zip(scan(problem, list(distances)), references)
     ]
 
 
-def compute_table2(seed: int = 1, restarts: int = OptimizationProblem.restarts,
-                   max_evals: int = OptimizationProblem.max_evals) -> list[TableRow]:
+def compute_table2(seed: int = 1) -> list[TableRow]:
     """Optimized rates for both methods at the four benchmark distances."""
-    problem = OptimizationProblem(exp=TABLE2_EXP, seed=seed, restarts=restarts,
-                                  max_evals=max_evals)
+    problem = OptimizationProblem(exp=TABLE2_EXP, seed=seed)
     return _rows(problem, TABLE2_DISTANCES, [TABLE2_REFERENCE[L] for L in TABLE2_DISTANCES])
 
 
-def compute_table3(seed: int = 1, restarts: int = OptimizationProblem.restarts,
-                   max_evals: int = OptimizationProblem.max_evals) -> list[TableRow]:
+def compute_table3(seed: int = 1) -> list[TableRow]:
     """Optimized rates for the two published-hardware comparison points."""
     rows = []
     for L, exp, xi, references in TABLE3_CASES:
-        problem = OptimizationProblem(exp=exp, security=SecurityBudget(xi_default=xi),
-                                      seed=seed, restarts=restarts, max_evals=max_evals)
+        problem = OptimizationProblem(exp=exp, security=SecurityBudget(xi_default=xi), seed=seed)
         rows += _rows(problem, (L,), [references])
     return rows
 

@@ -437,10 +437,18 @@ def test_cli_rate_optimizes_without_fixed_source(tmp_path):
 
 
 def test_cli_tables_command_small_budget():
-    cp = _run_cli("tables", "--restarts", "1", "--max-evals", "200", "--seed", "1")
+    cp = _run_cli("tables", "--seed", "1")
     assert cp.returncode == 0, cp.stderr
     assert "plob1" in cp.stdout
     assert cp.stdout.count("Benchmark rates") == 2
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--max-evals"])
+def test_cli_tables_takes_no_search_budget(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["exp.M_slices", "opt.restarts", "opt.seed"])

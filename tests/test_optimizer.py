@@ -202,6 +202,23 @@ def test_seed1_table2_stays_within_its_evaluation_count(monkeypatch):
     assert sum(counts) == calls <= 6114
 
 
+def test_seed1_table2_optimizes_method_a_then_method_b(monkeypatch):
+    # The order the benchmark's tables fingerprint records.
+    from snskit.tables import compute_table2
+
+    calls: list[tuple[str, float]] = []
+    real_optimize = optimizer.optimize
+
+    def recording(problem):
+        calls.append((problem.method, problem.exp.L_total))
+        return real_optimize(problem)
+
+    monkeypatch.setattr(optimizer, "optimize", recording)
+    compute_table2(seed=1)
+    distances = [250.0, 390.0, 420.0, 440.0]
+    assert calls == [("A", L) for L in distances] + [("B", L) for L in distances]
+
+
 def test_cold_method_b_at_440km_stops_every_restart_on_the_plateau():
     out = optimize(OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), method="B", seed=1))
     assert out.flags == ("zero-rate-box",)
@@ -501,21 +518,29 @@ def test_optimize_params_satisfy_invariants():
 def test_scan_single_distance_equals_optimize():
     problem = _small_problem()
     pts = scan(problem, [300.0])
-    direct = optimize(problem)
     assert len(pts) == 1
-    assert pts[0].rate == direct.rate
+    # Whole results, restart records included: nothing is copied or dropped.
+    assert pts[0].a == optimize(problem)
+    assert pts[0].b == optimize(replace(problem, method="B"))
     assert pts[0].plob1 > pts[0].plob2
+
+
+def test_scan_ignores_problem_method():
+    problem = _small_problem(restarts=1, max_evals=60)
+    assert scan(problem, [300.0]) == scan(replace(problem, method="B"), [300.0])
 
 
 def test_scan_warm_start_not_worse_than_cold():
     problem = _small_problem(restarts=2, max_evals=300)
     pts = scan(problem, [300.0, 320.0])
-    cold = optimize(
-        _small_problem(restarts=2, max_evals=300, exp=table1_exp(320.0))
-    )
-    assert pts[1].rate >= cold.rate * 0.99
-    # Re-optimized rates decay with distance.
-    assert pts[0].rate >= pts[1].rate > 0.0
+    for method in ("A", "B"):
+        cold = optimize(
+            _small_problem(restarts=2, max_evals=300, exp=table1_exp(320.0), method=method)
+        )
+        first, second = (getattr(pt, method.lower()) for pt in pts)
+        assert second.rate >= cold.rate * 0.99
+        # Re-optimized rates decay with distance.
+        assert first.rate >= second.rate > 0.0
 
 
 def test_scan_asymmetric_keeps_arm_offset():
@@ -529,15 +554,24 @@ def test_scan_asymmetric_keeps_arm_offset():
 
 
 def test_scan_asymmetric_positive_rates_over_range():
-    # Arm offset of 100 km, warm-started chain at the default restart count:
-    # rates stay positive across the mid-range distances.
+    # Arm offset of 100 km, warm-started chains at the default restart count:
+    # both methods' rates stay positive across the mid-range distances.
     problem = OptimizationProblem(
         exp=table1_exp(250.0, L_A=175.0, L_B=75.0), mode="asymmetric", restarts=8,
         max_evals=2000, seed=3,
     )
     pts = scan(problem, [250.0, 300.0, 350.0])
-    assert all(pt.rate > 0.0 for pt in pts)
-    assert all(pt.params is not None for pt in pts)
+    results = [out for pt in pts for out in (pt.a, pt.b)]
+    assert all(out.rate > 0.0 for out in results)
+    assert all(out.params is not None for out in results)
+
+
+def test_scan_retries_a_zero_method_from_the_other_methods_optimum():
+    # Cold, method B plateaus at 440 km (the plateau test pins it); the
+    # scan re-optimizes it from method A's optimum there.
+    pt, = scan(OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), seed=1), [440.0])
+    assert pt.a.rate > 0.0
+    assert pt.b.rate >= 0.95 * 3.26e-8  # published Table II rate
 
 
 def test_import_loads_no_scipy():
