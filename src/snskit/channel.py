@@ -6,10 +6,10 @@ fully linear: per-detector click probabilities follow from Poisson statistics
 of the arriving intensities plus independent dark counts, and misalignment
 mixes a fraction ``e_d`` of each pulse into the wrong output port.
 
-The simulator is deterministic by default: every count is the expected value
-of its window, rounded to the nearest integer, which reproduces the smooth
-published rate curves.  Passing a seed switches to binomial sampling around
-the same expectations; the statistical property tests use that mode.
+The simulator is deterministic: every count is the expected value of its
+window, rounded to the nearest integer, which reproduces the smooth
+published rate curves.  A caller that wants sampled counts draws them itself
+from the window sizes and expected counts.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from numbers import Integral
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ExperimentalParams",
@@ -290,18 +286,14 @@ def heralded_rate(x: float, y: float, p_d: float) -> float:
     return 2.0 * (1.0 - p_d) * math.exp(-s) * core
 
 
-def _count(window: float, rate: float, rng: np.random.Generator | None) -> int:
+def _count(window: float, rate: float) -> int:
     if window <= 0.0:
         return 0
-    if rng is None:
-        return min(int(round(window * rate)), int(window))
-    return int(rng.binomial(int(round(window)), min(rate, 1.0)))
+    return min(int(round(window * rate)), int(window))
 
 
 def simulate_decoy_observables(
-    exp: ExperimentalParams,
-    src: SourceParams,
-    rng: np.random.Generator | None = None,
+    exp: ExperimentalParams, src: SourceParams
 ) -> tuple[dict[str, float], tuple[str, ...]]:
     """Pulse-pair and click counts of the five decoy-analysis windows.
 
@@ -329,7 +321,7 @@ def simulate_decoy_observables(
     for w, size in sizes.items():
         rate = heralded_rate(mu_a[w[0]] * eta_a, mu_b[w[1]] * eta_b, exp.p_d)
         counts[f"N_{w}"] = size
-        counts[f"n_{w}"] = _count(size, rate, rng)
+        counts[f"n_{w}"] = _count(size, rate)
         if size < 1.0:
             flags.append(f"degenerate-window:{w}")
     return counts, tuple(flags)
@@ -406,9 +398,7 @@ def _x1_error_probability(x: float, y: float, exp: ExperimentalParams) -> float:
 
 
 def simulate_x1_error(
-    exp: ExperimentalParams,
-    src: SourceParams,
-    rng: np.random.Generator | None = None,
+    exp: ExperimentalParams, src: SourceParams
 ) -> tuple[float, int, tuple[str, ...]]:
     """Size and error count of the phase-matched mu1 windows, with flags.
 
@@ -431,15 +421,13 @@ def simulate_x1_error(
     """
     eta_a, eta_b = transmittance(exp)
     size = exp.N * (1.0 - src.p_z) * (1.0 - src.p_z_b) * src.p1 * src.p1_b * (2.0 / exp.M_slices)
-    m = _count(size, _x1_error_probability(src.mu1 * eta_a, src.mu1_b * eta_b, exp), rng)
+    m = _count(size, _x1_error_probability(src.mu1 * eta_a, src.mu1_b * eta_b, exp))
     flags = ("all-phases-accepted",) if exp.M_slices == 1 else ()
     return size, m, flags
 
 
 def simulate_z_counts(
-    exp: ExperimentalParams,
-    src: SourceParams,
-    rng: np.random.Generator | None = None,
+    exp: ExperimentalParams, src: SourceParams
 ) -> tuple[int, int, int, int]:
     """Effective-event counts of the four signal-window sending patterns.
 
@@ -449,13 +437,13 @@ def simulate_z_counts(
     eta_a, eta_b = transmittance(exp)
     base = exp.N * src.p_z * src.p_z_b
     n_v = _count(base * (1.0 - src.eps) * (1.0 - src.eps_b),
-                 heralded_rate(0.0, 0.0, exp.p_d), rng)
+                 heralded_rate(0.0, 0.0, exp.p_d))
     n_c0 = _count(base * (1.0 - src.eps) * src.eps_b,
-                  heralded_rate(0.0, src.mu_z_b * eta_b, exp.p_d), rng)
+                  heralded_rate(0.0, src.mu_z_b * eta_b, exp.p_d))
     n_c1 = _count(base * src.eps * (1.0 - src.eps_b),
-                  heralded_rate(src.mu_z * eta_a, 0.0, exp.p_d), rng)
+                  heralded_rate(src.mu_z * eta_a, 0.0, exp.p_d))
     n_d = _count(base * src.eps * src.eps_b,
-                 heralded_rate(src.mu_z * eta_a, src.mu_z_b * eta_b, exp.p_d), rng)
+                 heralded_rate(src.mu_z * eta_a, src.mu_z_b * eta_b, exp.p_d))
     return n_c0, n_c1, n_v, n_d
 
 
@@ -490,20 +478,11 @@ def simulate_aopp_counts(
     return n_g, n_t_prime, n_odd, e_prime
 
 
-def simulate(
-    exp: ExperimentalParams,
-    src: SourceParams,
-    seed: int | None = None,
-) -> ObservedStats:
+def simulate(exp: ExperimentalParams, src: SourceParams) -> ObservedStats:
     """Run the full linear-model simulation and assemble the observed record."""
-    rng = None
-    if seed is not None:
-        import numpy as np  # sampling only: the deterministic counts need no numpy
-
-        rng = np.random.default_rng(seed)
-    counts, flags = simulate_decoy_observables(exp, src, rng)
-    size_x1, m_x1, x1_flags = simulate_x1_error(exp, src, rng)
-    n_c0, n_c1, n_v, n_d = simulate_z_counts(exp, src, rng)
+    counts, flags = simulate_decoy_observables(exp, src)
+    size_x1, m_x1, x1_flags = simulate_x1_error(exp, src)
+    n_c0, n_c1, n_v, n_d = simulate_z_counts(exp, src)
     all_flags = list(flags) + list(x1_flags)
     try:
         n_g, n_t_prime, n_odd, e_prime = simulate_aopp_counts(n_c0, n_c1, n_v, n_d)

@@ -15,8 +15,8 @@ evaluations.  The starts are the draws of numpy's
 ``default_rng(seed).uniform(-2, 2, size=dim)``, reproduced bit for bit by a
 standard-library port of its SeedSequence and PCG64 (``_Pcg64``), so a
 search loads no ``numpy.random`` (numpy 2 imports it only on first use,
-hence the ``numpy>=2.0`` floor); numpy remains only for the simplex's
-argsort.
+hence the ``numpy>=2.0`` floor).  numpy serves only the simplex's argsort,
+imported at the first sort, so ``import snskit`` loads no numpy.
 
 The simplex minimizes ``-ln R``.  It only compares objective values, so
 any strictly decreasing transform of R makes the same moves; this one makes
@@ -45,11 +45,10 @@ import math
 from dataclasses import dataclass, fields, replace
 from numbers import Integral
 
-import numpy as np
-
 from .budget import SecurityBudget
 from .channel import _MAX_INTENSITY, ExperimentalParams, SourceParams, constraint_ratio
 from .keyrate import evaluate, plob_bounds
+from .zigzag import _check_mode
 
 __all__ = [
     "OptimizationProblem",
@@ -85,7 +84,8 @@ class OptimizationProblem:
     mode         "symmetric" ties both parties' sources; "asymmetric" frees
                  them, minus the constraint-eliminated mu1_b
     method       "A" or "B", the phase-error estimator passed to the evaluation
-    zigzag_mode  "approx" or "exact" pairing-stage accounting
+    zigzag_mode  "approx" or "exact" pairing-stage accounting; approx mode
+                 needs the default xi_tau and xi_tau_tilde of ``security``
     max_evals    cap on objective calls per restart, infeasible corners
                  included; the leader's coarse and resumed phases share it
     seed         non-negative integer seeding the random restart starts
@@ -113,6 +113,7 @@ class OptimizationProblem:
             raise ValueError(f"method must be 'A' or 'B', got {self.method!r}")
         if self.zigzag_mode not in ("approx", "exact"):
             raise ValueError(f"zigzag_mode must be 'approx' or 'exact', got {self.zigzag_mode!r}")
+        _check_mode(self.zigzag_mode, self.security)
         for name in ("restarts", "max_evals"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
@@ -326,8 +327,11 @@ class _Simplex:
 
     def sort(self) -> None:
         # numpy's default argsort is unstable: it decides the order of tied
-        # vertices, so this sorts exactly when and how scipy does.
-        order = np.argsort(self.values)
+        # vertices, so this sorts exactly when and how scipy does.  Imported
+        # here, so that only a search loads numpy.
+        from numpy import argsort
+
+        order = argsort(self.values)
         self.vertices[:] = [self.vertices[i] for i in order]
         self.values[:] = [self.values[i] for i in order]
 

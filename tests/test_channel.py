@@ -445,23 +445,28 @@ def test_x1_slice_series_is_summed_left_to_right(monkeypatch):
 def test_approx_evaluate_at_full_intensity_loads_no_scipy():
     # At 0 km intensities near 1 arrive with sqrt(x*y) up to 0.3; the I0
     # series covers that, and every amplitude stays within the slice series.
+    # Nothing that does not search loads numpy either: not an evaluation,
+    # not `snskit plob`, not a `snskit rate` with a fixed source.
     import subprocess
     import sys
+    from pathlib import Path
 
+    config = Path(__file__).resolve().parents[1] / "configs" / "table1_symmetric.cfg"
     code = (
         "import sys\n"
-        "from snskit import SourceParams, evaluate\n"
+        "from snskit import SourceParams, cli, evaluate\n"
         "from snskit.tables import TABLE2_EXP\n"
         "src = SourceParams.symmetric(p_z=0.7, eps=0.25, p0=0.6, p1=0.3,"
         " mu1=0.5, mu2=0.9, mu_z=1.0)\n"
         "for method in ('A', 'B'):\n"
         "    evaluate(TABLE2_EXP.at_distance(0.0), src, method=method)\n"
-        "print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy', 'numpy.polynomial'))))\n"
+        "assert cli.main(['plob', '250']) == 0\n"
+        f"assert cli.main(['rate', '--config', {str(config)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"  # after the two commands' output
 
 
 @pytest.mark.parametrize("L_total", [0.0, 100.0, 250.0, 300.0, 440.0, 600.0])
@@ -593,19 +598,6 @@ def test_simulate_invariants(golden_exp, golden_src, golden_obs):
     assert dataclasses.replace(obs, n_v=obs.n_v + 5).n_t == obs.n_t + 5
     assert obs.n_t_prime <= obs.n_g <= min(obs.n_c0 + obs.n_d, obs.n_c1 + obs.n_v)
     assert obs.m_X1 <= obs.N_X1
-
-
-def test_simulate_sampled_mode_deterministic_and_unbiased(golden_exp, golden_src, golden_obs):
-    a = simulate(golden_exp, golden_src, seed=42)
-    b = simulate(golden_exp, golden_src, seed=42)
-    assert a == b
-    c = simulate(golden_exp, golden_src, seed=43)
-    assert c != a
-    # Sampled counts stay within 5 sigma of the deterministic expectations.
-    for w in ("ox", "oy"):
-        expect = getattr(golden_obs, f"n_{w}")
-        got = getattr(a, f"n_{w}")
-        assert abs(got - expect) < 5.0 * math.sqrt(expect)
 
 
 def test_simulate_degenerate_aopp_flag():

@@ -158,6 +158,13 @@ def test_build_config_checks_the_scan_grid_against_the_arm_offset():
         build_config(values)
 
 
+def test_parse_config_rejects_an_approx_budget(tmp_path):
+    # Approx mode is the default, and its Gaussian constants need xi_tau = 1e-2.
+    path = _write(tmp_path, BASE_CONFIG + "budget.xi_tau = 1e-3\n")
+    with pytest.raises(ConfigError, match="approx mode's Gaussian quantiles"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize("key", [
     "budget.eps_n1_prime", "budget.eps_nk",
     "opt.mu_lo", "opt.mu_hi", "opt.p_lo", "opt.p_hi", "exp.slice_mode",

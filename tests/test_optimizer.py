@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from snskit import optimizer
+from snskit.budget import SecurityBudget
 from snskit.channel import SourceParams
 from snskit.keyrate import evaluate
 from snskit.optimizer import OptimizationProblem, _better, _Space, optimize, scan
@@ -73,6 +74,15 @@ def test_space_decode_always_feasible():
 def test_problem_rejects_an_unknown_setting_at_construction(field, value):
     with pytest.raises(ValueError, match=f"{field} must be .*got {value!r}"):
         _small_problem(**{field: value})
+
+
+def test_problem_rejects_an_approx_budget_at_construction():
+    # The Gaussian constants hold only at the default tail levels, so the
+    # search fails when it is built, not at its first evaluation.
+    budget = SecurityBudget(xi_tau=1e-3)
+    with pytest.raises(ValueError, match="approx mode's Gaussian quantiles"):
+        _small_problem(security=budget)
+    assert _small_problem(security=budget, zigzag_mode="exact").security == budget
 
 
 def test_single_evaluation_returns_start_point():
@@ -404,9 +414,7 @@ def test_simplex_matches_scipy_on_tied_no_rate_vertices(monkeypatch):
     first = [value for _, value in calls[:len(simplex)]]
     assert first.count(optimizer._NO_RATE) >= 2 and min(first) < optimizer._NO_RATE
     # A stable sort orders those ties differently and takes another path.
-    monkeypatch.setattr(
-        optimizer, "np", SimpleNamespace(argsort=partial(np.argsort, kind="stable"))
-    )
+    monkeypatch.setattr(np, "argsort", partial(np.argsort, kind="stable"))
     stable: list = []
     _straight(_recording(objective, stable), simplex, problem.max_evals)
     assert _bits(stable) != _bits(calls)
@@ -575,8 +583,9 @@ def test_scan_retries_a_zero_method_from_the_other_methods_optimum():
 
 
 def test_import_loads_no_scipy():
-    # Nor a process pool's modules: restarts run in the calling process.
-    roots = ("scipy", "multiprocessing", "concurrent.futures")
+    # Nor a process pool's modules: restarts run in the calling process.  Nor
+    # numpy: the simplex imports its argsort at the first sort.
+    roots = ("scipy", "numpy", "multiprocessing", "concurrent.futures")
     code = ("import sys, snskit; "
             f"print(sorted(m for m in sys.modules if m.startswith({roots!r})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
