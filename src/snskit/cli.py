@@ -4,6 +4,8 @@ Commands
   rate      evaluate one configuration (optimizing first if no fixed source
             parameters are given) and print the full report
   optimize  search for the best source parameters at the configured distance
+            (rate and optimize retry a search that finds none from the
+            other method's optimum, as a scan does)
   scan      optimize along a distance grid and emit CSV
   tables    recompute the built-in benchmark tables next to their published
             reference values
@@ -22,7 +24,7 @@ from dataclasses import fields
 from .channel import SourceParams
 from .config import ConfigError, RunConfig, parse_config
 from .keyrate import KeyRateReport, evaluate, plob_bounds
-from .optimizer import OptimizationProblem, optimize, scan
+from .optimizer import OptimizationProblem, optimize, retry_from_other, scan
 from .tables import TABLE2_PLOB_REFERENCE, compute_table2, compute_table3, format_rows
 
 EXIT_OK = 0
@@ -89,7 +91,8 @@ def _report(problem: OptimizationProblem, src: SourceParams) -> int:
 
 
 def cmd_rate(problem: OptimizationProblem) -> int:
-    src = problem.x0 if problem.x0 is not None else optimize(problem).params
+    src = problem.x0 if problem.x0 is not None else (
+        retry_from_other(problem, optimize(problem)).params)
     if src is None:
         print("optimization found no positive rate anywhere in the box")
         return EXIT_ZERO_RATE
@@ -97,7 +100,7 @@ def cmd_rate(problem: OptimizationProblem) -> int:
 
 
 def cmd_optimize(problem: OptimizationProblem) -> int:
-    out = optimize(problem)
+    out = retry_from_other(problem, optimize(problem))
     print(f"evaluations  {out.evaluations}")
     if out.params is None:
         print("best_R       0.0  (no positive rate found)")

@@ -56,6 +56,7 @@ __all__ = [
     "RestartRecord",
     "ScanPoint",
     "optimize",
+    "retry_from_other",
     "scan",
 ]
 
@@ -86,6 +87,10 @@ class OptimizationProblem:
     method       "A" or "B", the phase-error estimator passed to the evaluation
     zigzag_mode  "approx" or "exact" pairing-stage accounting; approx mode
                  needs the default xi_tau and xi_tau_tilde of ``security``
+    restarts     starts per ``optimize``: ``x0`` (or a default guess), then
+                 restarts - 1 seeded random ones.  A ``scan`` gives method B
+                 one restart, from method A's optimum, and all of them only
+                 where A or that restart found no source
     max_evals    cap on objective calls per restart, infeasible corners
                  included; the leader's coarse and resumed phases share it
     seed         non-negative integer seeding the random restart starts
@@ -574,29 +579,45 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     return OptimizeResult(records[best].params, records[best].rate, tuple(records))
 
 
+def retry_from_other(problem: OptimizationProblem, result: OptimizeResult,
+                     other: OptimizeResult | None = None) -> OptimizeResult:
+    """``result`` of ``optimize(problem)`` if it found a source, else a new
+    ``optimize(problem)`` from the other method's optimum (``other``, or a
+    fresh search of the other method), or ``result`` when that has none.
+
+    Both estimators share every count, so one's optimum starts the other in
+    its positive-rate basin where its own starts plateau at R = 0.
+    """
+    if result.params is not None:
+        return result
+    if other is None:
+        other = optimize(replace(problem, method="B" if problem.method == "A" else "A"))
+    return result if other.params is None else optimize(replace(problem, x0=other.params))
+
+
 def scan(problem: OptimizationProblem, distances: "list[float]") -> list[ScanPoint]:
     """Optimize both estimators at each total distance.
 
-    Runs method A's chain over ``distances``, then method B's;
-    ``problem.method`` is not read.  In each chain a point warm-starts from
-    the previous point's optimum (the first from ``problem.x0``), and every
-    point keeps the L_A - L_B of ``problem.exp``'s own arms.  After both
-    chains, a method that found no source at a distance where the other did
-    is optimized once more there, starting from the other's optimum.
+    Runs method A's chain over ``distances``: each point warm-starts from
+    the previous optimum (the first from ``problem.x0``) and keeps the
+    L_A - L_B of ``problem.exp``'s arms; ``problem.method`` is not read.
+    Method B then runs one restart from A's optimum at each distance, and
+    its own search (``problem.restarts`` restarts from its last optimum)
+    only where A or that restart found no source, since B >= A does not
+    hold at every source.  A zero A is retried from B's optimum.
     """
     exps = [problem.exp.at_distance(L) for L in distances]
-    chains = []
-    for method in ("A", "B"):
-        warm, chain = problem.x0, []
-        for exp_L in exps:
-            chain.append(optimize(replace(problem, method=method, exp=exp_L, x0=warm)))
-            warm = chain[-1].params or warm
-        chains.append(chain)
-    points = []
-    for L, exp_L, a, b in zip(distances, exps, *chains):
-        if a.params is None and b.params is not None:
-            a = optimize(replace(problem, method="A", exp=exp_L, x0=b.params))
-        elif b.params is None and a.params is not None:
-            b = optimize(replace(problem, method="B", exp=exp_L, x0=a.params))
+    warm, chain = problem.x0, []
+    for exp_L in exps:
+        chain.append(optimize(replace(problem, method="A", exp=exp_L, x0=warm)))
+        warm = chain[-1].params or warm
+    warm, points = problem.x0, []
+    for L, exp_L, a in zip(distances, exps, chain):
+        at_L = replace(problem, method="B", exp=exp_L)
+        b = a if a.params is None else optimize(replace(at_L, x0=a.params, restarts=1))
+        if b.params is None:
+            b = optimize(replace(at_L, x0=warm))
+        warm = b.params or warm
+        a = retry_from_other(replace(at_L, method="A"), a, b)
         points.append(ScanPoint(L, a, b, *plob_bounds(exp_L.L_total, exp_L.alpha_f, exp_L.eta_d)))
     return points

@@ -398,6 +398,19 @@ def test_cli_optimize_takes_a_seed_of_several_words(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("evaluations")
 
 
+@pytest.mark.parametrize("command", ["optimize", "rate"])
+def test_cli_method_b_at_440km_retries_from_method_a_optimum(tmp_path, capsys, command):
+    # Cold, method B plateaus at R = 0 on Table II hardware at 440 km; like
+    # a scan, the command re-optimizes from method A's optimum there.
+    path = _write(tmp_path, (
+        "exp.p_d = 1.0e-8\nexp.e_d = 0.03\nexp.eta_d = 0.30\nexp.f = 1.1\n"
+        "exp.alpha_f = 0.2\nexp.N = 1.0e12\nexp.L_A = 220\nexp.L_B = 220\nopt.seed = 1\n"
+    ))
+    assert main([command, "--config", path, "--method", "B"]) == 0
+    rate = re.search(r"^R +(\S+)$", capsys.readouterr().out, re.MULTILINE).group(1)
+    assert float(rate) >= 0.95 * 3.26e-8  # published Table II rate
+
+
 def test_cli_scan_unwritable_path_exit_code(tmp_path):
     path = _write(tmp_path, BASE_CONFIG)
     cp = _run_cli("scan", "--config", path, "--out", str(tmp_path / "no" / "dir" / "x.csv"))

@@ -187,8 +187,9 @@ def test_only_the_leading_restart_is_refined():
 
 def test_seed1_table2_stays_within_its_evaluation_count(monkeypatch):
     # Pins the restart economy: the seed-1 Table II made 8,900 evaluations
-    # when every restart ran to _RTOL, and 6,114 with only the leader
-    # refined.
+    # when every restart ran to _RTOL, 6,114 with only the leader refined,
+    # and 4,323 since method B runs one restart from method A's optimum in
+    # place of its own 8-restart search.
     from snskit.tables import compute_table2
 
     counts: list[int] = []
@@ -209,7 +210,7 @@ def test_seed1_table2_stays_within_its_evaluation_count(monkeypatch):
     monkeypatch.setattr(optimizer, "evaluate", counted)
     compute_table2(seed=1)
     assert len(counts) == 8  # two methods at four distances
-    assert sum(counts) == calls <= 6114
+    assert sum(counts) == calls <= 4323
 
 
 def test_seed1_table2_optimizes_method_a_then_method_b(monkeypatch):
@@ -529,8 +530,60 @@ def test_scan_single_distance_equals_optimize():
     assert len(pts) == 1
     # Whole results, restart records included: nothing is copied or dropped.
     assert pts[0].a == optimize(problem)
-    assert pts[0].b == optimize(replace(problem, method="B"))
+    assert pts[0].b == optimize(replace(problem, method="B", x0=pts[0].a.params, restarts=1))
     assert pts[0].plob1 > pts[0].plob2
+
+
+def test_scan_polishes_method_a_optimum_with_one_method_b_restart():
+    problem = _small_problem(max_evals=300)
+    pts = scan(problem, [300.0, 320.0])
+    for pt in pts:
+        exp_problem = replace(problem, exp=problem.exp.at_distance(pt.L_total))
+        assert pt.a.params is not None and pt.b.params is not None
+        rec, = pt.b.restarts
+        assert rec.start == tuple(_Space(exp_problem).encode(pt.a.params))
+
+
+def _zero_result() -> optimizer.OptimizeResult:
+    return optimizer.OptimizeResult(None, 0.0, ())
+
+
+def test_scan_falls_back_to_method_b_search_when_the_polish_finds_no_source(monkeypatch):
+    real_optimize = optimizer.optimize
+
+    def polish_finds_nothing(problem):
+        if problem.method == "B" and problem.restarts == 1:
+            return _zero_result()
+        return real_optimize(problem)
+
+    monkeypatch.setattr(optimizer, "optimize", polish_finds_nothing)
+    problem = _small_problem()
+    first, second = scan(problem, [300.0, 320.0])
+    # B's own search: all restarts, warm-started from B's previous optimum.
+    assert first.b == real_optimize(replace(problem, method="B"))
+    assert second.b == real_optimize(
+        replace(problem, method="B", exp=problem.exp.at_distance(320.0), x0=first.b.params)
+    )
+    assert first.b.flags == second.b.flags == ()
+    assert len(first.b.restarts) == len(second.b.restarts) == problem.restarts
+
+
+def test_scan_runs_method_b_search_where_method_a_finds_no_source(monkeypatch):
+    real_optimize = optimizer.optimize
+    calls = []
+
+    def a_finds_nothing(problem):
+        calls.append((problem.method, problem.restarts, problem.x0))
+        return _zero_result() if problem.method == "A" else real_optimize(problem)
+
+    monkeypatch.setattr(optimizer, "optimize", a_finds_nothing)
+    problem = _small_problem()
+    pt, = scan(problem, [300.0])
+    assert pt.b == real_optimize(replace(problem, method="B"))
+    assert len(pt.b.restarts) == problem.restarts
+    # No polish of A's missing optimum; then A is retried from B's optimum.
+    assert calls == [("A", 2, problem.x0), ("B", 2, problem.x0), ("A", 2, pt.b.params)]
+    assert pt.a.flags == ("zero-rate-box",)
 
 
 def test_scan_ignores_problem_method():
@@ -580,6 +633,18 @@ def test_scan_retries_a_zero_method_from_the_other_methods_optimum():
     pt, = scan(OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), seed=1), [440.0])
     assert pt.a.rate > 0.0
     assert pt.b.rate >= 0.95 * 3.26e-8  # published Table II rate
+
+
+def test_asymmetric_scan_keeps_its_method_b_rates():
+    # The scan of the asymmetric benchmark config: default hardware on
+    # 150/100 km arms, seed 1.  Frozen R_B from before method B polished
+    # method A's optimum.
+    problem = OptimizationProblem(
+        exp=table1_exp(250.0, L_A=150.0, L_B=100.0), mode="asymmetric", seed=1
+    )
+    frozen = {250.0: 7.72841586e-06, 300.0: 2.1789544e-06}
+    for pt in scan(problem, list(frozen)):
+        assert pt.b.rate >= 0.995 * frozen[pt.L_total]
 
 
 def test_import_loads_no_scipy():
