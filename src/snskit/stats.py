@@ -9,12 +9,9 @@ s ~ +-sqrt(2c) near s = 0, the asymptote or the Lambert-W form far from
 it) followed by a few Newton steps, which converge quadratically.  The
 two-sided ``*_bounds`` functions compose the one-sided ends.
 
-The binomial-tail inversions use closed forms where one exists.  Since
-Pr(X >= m) = I_p(m, n-m+1), the success probability at a given tail level
-is one inverse regularized incomplete beta call.  The threshold at a given
-level is an integer bisection that starts from a bracket: the median below
-and a Chernoff bound above, so only a few tails are evaluated, and
-small-trial tails sum only the terms that carry mass.
+The binomial tail and its two inversions check their arguments here and
+compute in ``snskit.binomial``, which they import at their first call:
+only exact mode evaluates a tail, so approx mode never loads that code.
 """
 
 from __future__ import annotations
@@ -42,9 +39,6 @@ __all__ = [
 _LOG_SPAN = 690.0  # widest log-ratio solved for; exp() stays finite below it
 _NEWTON_RTOL = 1e-8  # relative step after which a quadratic step adds nothing
 _NEWTON_MAX_STEPS = 50
-_SUMMATION_LIMIT = 10_000  # below this trial count, sum the tail in log space
-_LOG_TERM_CUTOFF = 50.0  # past the mode, a term this far below the peak ends the sum
-_BISECT_LOG_TOL = 1e-12  # width in ln(p), i.e. relative width in p, that ends a bisection
 
 
 @dataclass(frozen=True)
@@ -250,43 +244,11 @@ def chernoff_observed_bounds(expected: float, failure_prob: float) -> ChernoffRe
     )
 
 
-def _tail_by_summation(trials: int, p: float, threshold: int) -> float:
-    """Upper tail summed in log space from the threshold upward.
-
-    The terms rise up to the mode floor((n+1)p) and only shrink past it, so
-    the sum stops at the first term more than _LOG_TERM_CUTOFF below the
-    largest one; the dropped mass is below 1e-21 of the sum for every
-    n <= _SUMMATION_LIMIT.
-    """
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    log_norm = math.lgamma(trials + 1)
-    top = -math.inf
-    logs = []
-    for k in range(threshold, trials + 1):
-        v = (
-            log_norm
-            - math.lgamma(k + 1)
-            - math.lgamma(trials - k + 1)
-            + k * log_p
-            + (trials - k) * log_q
-        )
-        if v > top:
-            top = v
-        elif v < top - _LOG_TERM_CUTOFF:
-            break
-        logs.append(v)
-    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
-
-
 def binomial_tail(query: TailQuery) -> float:
     """Pr(X >= threshold) for X ~ Binomial(trials, success_prob).
 
-    Uses log-space summation for small trial counts and the regularized
-    incomplete beta function above that, so tails at the 1e-13 scale keep
-    full relative accuracy.  The summation stops once the terms past the
-    mode fall out of double precision, so its cost follows the spread of
-    the distribution rather than the trial count.
+    Computed in log space (``binomial.log_tail``) to about 1e-13 relative
+    accuracy, down to the smallest positive double.
     """
     n, p, m = query.trials, query.success_prob, query.threshold
     if m <= 0:
@@ -297,22 +259,17 @@ def binomial_tail(query: TailQuery) -> float:
         return 0.0
     if p >= 1.0:
         return 1.0
-    if n <= _SUMMATION_LIMIT:
-        return min(_tail_by_summation(n, p, m), 1.0)
-    from scipy.special import betainc  # deferred: import snskit loads no scipy
+    from .binomial import log_tail  # deferred: approx mode never loads the tail code
 
-    return float(betainc(m, n - m + 1, p))
+    return math.exp(log_tail(n, m, p)[0])
 
 
 def invert_tail_for_p(trials: int, threshold: int, target: float) -> float:
-    """Success probability p with Pr(X >= threshold) = target.
+    """Success probability p with Pr(X >= threshold) = target, rounded up.
 
-    The upper tail is the regularized incomplete beta function
-    I_p(threshold, trials - threshold + 1), strictly increasing in p for
-    1 <= threshold <= trials, so the unique root is its inverse in p.
-    Where scipy's inverse returns NaN, a bisection in ln(p) on the forward
-    tail finds the root and returns it rounded up; the result is NaN only
-    where the tail itself cannot be evaluated.
+    The upper tail is I_p(threshold, trials - threshold + 1), increasing in
+    p, so the root is unique; Pr(X >= threshold) >= target at the p returned
+    (``binomial.invert_p``).
     """
     if not (0.0 < target < 1.0):
         raise ValueError(f"target tail probability must lie in (0, 1), got {target!r}")
@@ -321,62 +278,22 @@ def invert_tail_for_p(trials: int, threshold: int, target: float) -> float:
             "threshold must lie in [1, trials]: below 1 the tail is pinned at 1 "
             f"for every p (got threshold={threshold}, trials={trials})"
         )
-    from scipy.special import betaincinv  # deferred: import snskit loads no scipy
+    from .binomial import invert_p  # deferred: approx mode never loads the tail code
 
-    p = float(betaincinv(threshold, trials - threshold + 1, target))
-    if math.isnan(p):  # scipy's inverse fails at levels below about 1e-200
-        p = _bisect_tail_for_p(trials, threshold, target)
-    return p
-
-
-def _bisect_tail_for_p(trials: int, threshold: int, target: float) -> float:
-    """Root of Pr(X >= threshold) = target by bisection in ln(p), rounded up
-    (NaN where the tail cannot be evaluated).  The bracket runs from the
-    union bound C(n, m) p^m = target, where the tail is at most target, to 1."""
-    n, m = trials, threshold
-    log_choose = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-    lo, hi = (math.log(target) - log_choose) / m, 0.0
-    while hi - lo > _BISECT_LOG_TOL:
-        mid = 0.5 * (lo + hi)
-        tail = binomial_tail(TailQuery(n, math.exp(mid), m))
-        if math.isnan(tail):
-            return math.nan
-        if tail < target:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(hi)
+    return invert_p(trials, threshold, target)
 
 
 def invert_tail_for_m(trials: int, success_prob: float, target: float) -> int:
-    """Smallest threshold m with Pr(X >= m) <= target.
-
-    Integer bisection on the tail.  For target < 1/2 it starts from a
-    bracket around the answer: a binomial median is at least floor(n*p), so
-    the tail there is at least 1/2, and the multiplicative Chernoff bound at
-    level target puts the tail at or below target past its upper end.  One
-    count of slack on each side absorbs the rounding of n*p and of the
-    Chernoff root.  Larger targets search all of [0, n + 1].
-    """
+    """Smallest threshold m with Pr(X >= m) <= target (``binomial.invert_m``)."""
     if not (0.0 < target < 1.0):
         raise ValueError(f"target tail probability must lie in (0, 1), got {target!r}")
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
     if not (0.0 <= success_prob <= 1.0):
         raise ValueError(f"success_prob must lie in [0, 1], got {success_prob}")
-    lo, hi = 0, trials + 1  # tail(lo) = 1 > target, tail(hi) = 0 <= target
-    if target < 0.5:
-        mean = trials * success_prob
-        lo = max(math.floor(mean) - 1, 0)
-        upper = chernoff_observed_upper(mean, 2.0 * target)
-        hi = min(math.ceil(upper) + 1, trials + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if binomial_tail(TailQuery(trials, success_prob, mid)) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    from .binomial import invert_m  # deferred: approx mode never loads the tail code
+
+    return invert_m(trials, success_prob, target)
 
 
 def shannon_entropy(x: float) -> float:

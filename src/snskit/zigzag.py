@@ -13,13 +13,13 @@ error-count bound M_bar_s through a second tail at level xi_tau_tilde.
 Two modes cover the last two steps: "approx" uses the closed-form Gaussian
 quantiles (2.33 at 1e-2, 6.36 at 1e-10) and is the default; "exact"
 inverts the binomial tails, which is a little tighter and serves as
-cross-validation.  Exact mode finds e_tau with one inverse regularized
-incomplete beta call and M_bar_s with a bracketed integer bisection over
-binomial tails; those two tail inversions make an exact evaluation cost
-about twice an approx one.  The Gaussian constants hold only at the default
-tail levels, so approx mode rejects any other xi_tau or xi_tau_tilde; exact
-mode takes any level, and a level of 1 (the fluctuation-free switch) uses
-the expectation in place of the tail.
+cross-validation.  Exact mode finds e_tau by Halley steps on the log tail,
+usually one, and M_bar_s from one tail and a few one-count steps
+(``stats.invert_tail_for_p`` and ``invert_tail_for_m``); neither loads
+scipy at the default levels.  The Gaussian constants hold only at the
+default tail levels, so approx mode rejects any other xi_tau or
+xi_tau_tilde; exact mode takes any level, and a level of 1 (the
+fluctuation-free switch) uses the expectation in place of the tail.
 """
 
 from __future__ import annotations
@@ -210,8 +210,6 @@ def compute_M_bar_s(
         e_tau = M_bar / trials_pre
     else:
         e_tau = invert_tail_for_p(trials_pre, M_bar, budget.xi_tau)
-        if math.isnan(e_tau):  # the binomial tail itself could not be evaluated
-            return float(2 * n), 1.0, ("vacuous-e-tau",)
     if e_tau > 0.5:
         return float(2 * n), e_tau, ("vacuous-e-tau",)
     big_e = e_tau * (1.0 - e_tau)

@@ -226,6 +226,39 @@ def test_evaluate_does_not_compute_the_repeaterless_bounds(golden_exp, golden_sr
     )
 
 
+def test_exact_evaluate_and_rate_load_no_scipy(monkeypatch):
+    # The exact tails need scipy only past the continued fraction's step
+    # cap, which the default tail levels never reach: not at the benchmark's
+    # 300 km probes over the restart box, for either method, and not in
+    # `snskit rate --mode exact`.
+    import importlib.util
+    import subprocess
+    from dataclasses import astuple
+
+    root = Path(__file__).resolve().parents[1]
+    bench = root / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    sources = [astuple(src) for src in workloads.restart_box_sources(1, 16)]
+    config = root / "configs" / "table1_symmetric.cfg"
+    code = (
+        "import sys\n"
+        "from snskit import SourceParams, cli, evaluate\n"
+        "from snskit.tables import TABLE2_EXP\n"
+        "exp = TABLE2_EXP.at_distance(300.0)\n"
+        f"for fields in {sources!r}:\n"
+        "    for method in ('A', 'B'):\n"
+        "        evaluate(exp, SourceParams(*fields), method=method, mode='exact')\n"
+        f"assert cli.main(['rate', '--config', {str(config)!r}, '--mode', 'exact']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"  # after the command's output
+
+
 def test_evaluate_exact_mode_not_worse(golden_exp, golden_src):
     rep = evaluate(golden_exp, golden_src, method="A", mode="exact")
     assert rep.R >= 2.6522458305172523e-06 * (1.0 - 1e-9)

@@ -1,4 +1,6 @@
+import decimal
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -121,19 +123,28 @@ def _direct_tail(n: int, p: float, m: int) -> float:
     )
 
 
-def _full_log_sum(n: int, p: float, m: int) -> float:
-    """Every term of the upper tail, summed in log space without truncation."""
-    logs = [
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        + k * math.log(p) + (n - k) * math.log1p(-p)
-        for k in range(m, n + 1)
-    ]
-    top = max(logs)
-    return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+def _full_sum(n: int, p: float, m: int) -> float:
+    """Every term of the upper tail, summed without truncation at 40 digits.
+
+    The terms follow from q^n by their ratios (n - k) p / ((k + 1) q), so no
+    log-gamma enters: a double log-gamma of a count near 1e4 carries an
+    absolute error near 1e-12, which a tail inherits as a relative one.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        P = decimal.Decimal(p)
+        Q = 1 - P
+        term = Q**n
+        total = term if m == 0 else decimal.Decimal(0)
+        for k in range(n):
+            term = term * (n - k) * P / ((k + 1) * Q)
+            if k + 1 >= m:
+                total += term
+        return float(total)
 
 
 def _oracle_p(trials: int, threshold: int, target: float) -> float:
-    """Bisection on ln(p) over the forward tail; slow but independent of betaincinv."""
+    """Bisection on ln(p) over the forward tail; slow but independent of the Halley search."""
     lo, hi = -690.0, 0.0
     for _ in range(120):
         mid = 0.5 * (lo + hi)
@@ -393,14 +404,10 @@ def test_tail_matches_direct_summation(n, p):
 
 @pytest.mark.parametrize("p,m", [(0.001, 40), (0.01, 260), (0.3, 6300)])
 def test_tail_summation_and_beta_paths_agree(p, m):
-    # The regularized-incomplete-beta branch (n > 10000) must agree with the
-    # log-space summation used below the switch.
-    from snskit.stats import _tail_by_summation
-
+    # The incomplete-beta continued fraction must agree with the 40-digit
+    # sum of every term of the tail.
     n = 20_000
-    got = binomial_tail(TailQuery(n, p, m))
-    want = _tail_by_summation(n, p, m)
-    assert got == pytest.approx(want, rel=1e-10)
+    assert binomial_tail(TailQuery(n, p, m)) == pytest.approx(_full_sum(n, p, m), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -412,11 +419,107 @@ def test_tail_summation_and_beta_paths_agree(p, m):
         (10_000, 1e-6, [1, 2, 5]),  # mode 0
     ],
 )
-def test_truncated_sum_matches_full_sum(n, p, thresholds):
-    from snskit.stats import _tail_by_summation
-
+def test_tail_matches_full_sum(n, p, thresholds):
+    # Both sides of the fraction's switch at (m + 1)/(n + 3), and the ends
+    # m = 1 and m = n.
     for m in thresholds:
-        assert _tail_by_summation(n, p, m) == pytest.approx(_full_log_sum(n, p, m), rel=1e-14)
+        want = _full_sum(n, p, m)
+        assert binomial_tail(TailQuery(n, p, m)) == pytest.approx(want, rel=1e-12)
+
+
+def _mp_sum_tail(mp, n: int, p: float, m: int):
+    """Pr(X >= m) as a term sum at the working precision, from m upward until
+    the terms past the mean fall below 1e-45 of the sum."""
+    P = mp.mpf(p)
+    Q = 1 - P
+    ratio = P / Q
+    term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(m + 1) - mp.loggamma(n - m + 1)
+                  + m * mp.log(P) + (n - m) * mp.log(Q))
+    total, k, eps = term, m, mp.mpf(10) ** -45
+    while k < n:
+        term *= (n - k) * ratio / (k + 1)
+        total += term
+        k += 1
+        if k > n * p and term < eps * total:
+            break
+    return total
+
+
+def _mp_fraction_tail(mp, n: int, p: float, m: int):
+    """Pr(X >= m) from the textbook incomplete-beta continued fraction at the
+    working precision, on the side of (m + 1)/(n + 3) where it converges."""
+
+    def fraction(a, b, x):
+        qab, qap, qam = a + b, a + 1, a - 1
+        c, d = mp.mpf(1), 1 / (1 - qab * x / qap)
+        h = d
+        for k in range(1, 100_000):
+            for aa in (k * (b - k) * x / ((qam + 2 * k) * (a + 2 * k)),
+                       -(a + k) * (qab + k) * x / ((a + 2 * k) * (qap + 2 * k))):
+                d = 1 / (1 + aa * d)
+                c = 1 + aa / c
+                h *= d * c
+            if abs(d * c - 1) < mp.mpf(10) ** -45:
+                return h
+        raise AssertionError("oracle fraction did not converge")
+
+    P = mp.mpf(p)
+    Q = 1 - P
+    a, b = mp.mpf(m), mp.mpf(n - m + 1)
+    front = mp.exp(mp.loggamma(a + b) - mp.loggamma(a) - mp.loggamma(b)
+                   + a * mp.log(P) + b * mp.log(Q))
+    if P * (n + 3) < m + 1:
+        return front * fraction(a, b, P) / a
+    return 1 - front * fraction(b, a, Q) / b
+
+
+def test_tail_matches_40_digit_oracles():
+    # Seeded tails from 3 standard deviations below the mean to 8 above.
+    # Up to 5e4 trials the oracle sums the terms; from 1e5 to 1e12 it runs
+    # the textbook fraction at 40 digits, outside the centre (|z| < 1.5),
+    # where that fraction needs thousands of steps at these counts.  scipy's
+    # betainc is no oracle there: on these 100 tails it is off by up to
+    # 1.3e-10, and by more than 1e-12 on 29.
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(20)
+    worst = 0.0
+    with mp.workdps(40):
+        for i in range(400):
+            large = i >= 300
+            n = int(10.0 ** rng.uniform(5.0, 12.0) if large else 10.0 ** rng.uniform(0.0, 4.7))
+            p = 10.0 ** rng.uniform(-5.0, math.log10(0.5))
+            sd = math.sqrt(n * p * (1.0 - p))
+            z = rng.uniform(-3.0, 8.0)
+            if large and abs(z) < 1.5:
+                z += math.copysign(1.5, z)
+            m = min(max(round(n * p + z * sd), 1), n)
+            want = (_mp_fraction_tail if large else _mp_sum_tail)(mp, n, p, m)
+            got = binomial_tail(TailQuery(n, p, m))
+            worst = max(worst, abs(float((got - want) / want)))
+    assert worst <= 2e-13
+
+
+def test_tail_past_the_fraction_cap_matches_betainc():
+    # 3e8 successes of 1e9 at p = 0.3 is the centre: the fraction would
+    # need thousands of steps, so scipy's betainc evaluates the tail.
+    from scipy.special import betainc
+
+    assert binomial_tail(TailQuery(10**9, 0.3, 3 * 10**8)) == pytest.approx(
+        float(betainc(3 * 10**8, 10**9 - 3 * 10**8 + 1, 0.3)), rel=1e-15
+    )
+
+
+@pytest.mark.parametrize("n", [10**19, 10**22, 10**40, 10**100])
+def test_tails_beyond_a_doubles_digits_stay_in_range(n):
+    # Counts above 2**53 carry fewer digits than a tail needs, and scipy's
+    # betainc returns NaN or 0 at the centre from about 1e19 trials: the
+    # tail stays a probability and both inversions return within range.
+    p = 0.035
+    num, den = p.as_integer_ratio()
+    m = n * num // den  # the mean, exactly; n * p as a double misses it by many sd
+    assert 0.0 < binomial_tail(TailQuery(n, p, m)) < 1.0
+    assert 1 <= invert_tail_for_m(n, p, 0.5) <= n + 1
+    assert 0.0 < invert_tail_for_p(n, m, 0.5) < 1.0
 
 
 def test_tail_query_validation():
@@ -468,8 +571,8 @@ def test_invert_tail_for_p_monotone_in_threshold():
         (100, 7, 1e-3),
         (5000, 60, 1e-10),
         (9_999, 4000, 0.3),
-        (10_000, 1, 1e-2),  # last trial count on the summation path
-        (10_001, 1, 1e-2),  # first on the incomplete-beta path
+        (10_000, 1, 1e-2),
+        (10_001, 1, 1e-2),
         (10_001, 10_001, 0.7),
         (20_000, 260, 1e-6),
         (2_000_000, 10_000, 1e-2),
@@ -491,6 +594,8 @@ def test_invert_tail_for_p_matches_bisection_oracle(trials, threshold, target):
     ],
 )
 def test_invert_tail_for_p_bisects_where_betaincinv_is_nan(trials, threshold, target):
+    # scipy's inverse fails at these levels; the search on the log tail,
+    # which bisects wherever a Halley step would not make progress, does not.
     from scipy.special import betaincinv
 
     assert math.isnan(betaincinv(threshold, trials - threshold + 1, target))
@@ -499,10 +604,17 @@ def test_invert_tail_for_p_bisects_where_betaincinv_is_nan(trials, threshold, ta
     assert binomial_tail(TailQuery(trials, p, threshold)) >= target  # rounded up
 
 
-def test_invert_tail_for_p_is_nan_only_where_the_tail_is(monkeypatch):
-    monkeypatch.setattr(stats, "binomial_tail", lambda query: math.nan)
-    assert math.isnan(invert_tail_for_p(100, 3, 1e-250))
-    assert invert_tail_for_p(100, 7, 1e-3) > 0.0  # betaincinv's root needs no tail
+@pytest.mark.parametrize("trials", [2, 100, 10**4, 10**7, 10**10, 10**15])
+@pytest.mark.parametrize("target", [1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 1e-2, 0.3])
+def test_invert_tail_for_p_is_finite_and_rounded_up(trials, target):
+    # Every level has a root in (0, 1), and the tail at the returned p is at
+    # least the level, however far out the root lies.
+    for threshold in sorted({1, 2, 3, 17, trials // 3, trials - 1, trials} - {0}):
+        if threshold > trials:
+            continue
+        p = invert_tail_for_p(trials, threshold, target)
+        assert 0.0 < p < 1.0
+        assert binomial_tail(TailQuery(trials, p, threshold)) >= target
 
 
 @pytest.mark.parametrize("trials", [1, 7, 3000, 10_001, 10**7])

@@ -355,8 +355,8 @@ def test_run_zigzag_clamps_untagged_count_above_2_to_the_53(golden_obs, default_
 
 def test_M_bar_s_exact_finite_where_the_inverse_fails():
     # scipy's betaincinv returns NaN for I_p(3, 98) = 1e-250, though the
-    # root exists (betainc(3, 98, 1e-85) = 1.6e-250 is finite); the
-    # bisection fallback finds it, rounded up.
+    # root exists (betainc(3, 98, 1e-85) = 1.6e-250 is finite); the Halley
+    # search on the log tail finds it, rounded up.
     mp = pytest.importorskip("mpmath")
     from scipy.special import betaincinv
 
@@ -375,14 +375,6 @@ def test_M_bar_s_exact_finite_where_the_inverse_fails():
     assert binomial_tail(TailQuery(100, e_tau, 3)) >= 1e-250  # the conservative end
     # One error among 50 pairs at E_tau ~ 1e-85 already has tail 5e-84 <= 1e-10.
     assert M_bar_s == 1.0
-
-
-def test_M_bar_s_exact_vacuous_where_the_tail_cannot_be_evaluated(monkeypatch):
-    from snskit import stats
-
-    monkeypatch.setattr(stats, "binomial_tail", lambda query: math.nan)
-    budget = SecurityBudget(xi_tau=1e-250)
-    assert compute_M_bar_s(50, 0.0, 3, "exact", budget) == (100.0, 1.0, ("vacuous-e-tau",))
 
 
 def test_run_zigzag_dead_branch(golden_obs, default_budget):
