@@ -8,8 +8,10 @@ mixes a fraction ``e_d`` of each pulse into the wrong output port.
 
 The simulator is deterministic: every count is the expected value of its
 window, rounded to the nearest integer, which reproduces the smooth
-published rate curves.  A caller that wants sampled counts draws them itself
-from the window sizes and expected counts.
+published rate curves.  ``simulate`` computes every window of one run in a
+single pass: the decoy windows, the phase-matched X1 windows and the four
+signal-window sending patterns.  A caller that wants sampled counts draws
+them itself from the window sizes and expected counts.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ __all__ = [
     "constraint_ratio",
     "transmittance",
     "heralded_rate",
-    "simulate_decoy_observables",
-    "simulate_x1_error",
-    "simulate_z_counts",
     "simulate_aopp_counts",
     "simulate",
 ]
@@ -195,10 +194,11 @@ class ObservedStats:
     second for Bob's: o = vacuum, x = mu1, y = mu2.  ``N_*`` are pulse-pair
     counts and ``n_*`` one-detector heralded counts; N_X1 and m_X1 are the
     size and wrong-click count of the phase-matched mu1 windows, and
-    n_c0, n_c1, n_v, n_d the signal-window counts (see simulate_z_counts).
-    The pairing outcomes n_g, n_odd, n_t_prime and E_prime are stored,
-    although ``simulate`` derives them from the four signal-window counts
-    through simulate_aopp_counts.  Nothing else derived is stored: an
+    n_c0, n_c1, n_v, n_d the signal-window counts where only Bob, only
+    Alice, neither and both sent (see ``simulate``).  The pairing outcomes
+    n_g, n_odd, n_t_prime and E_prime are stored, although ``simulate``
+    derives them from the four signal-window counts through
+    simulate_aopp_counts.  Nothing else derived is stored: an
     estimator divides a count by its window size, and n_t sums the
     signal-window counts.
     """
@@ -281,6 +281,12 @@ def heralded_rate(x: float, y: float, p_d: float) -> float:
         )
     if not (0.0 <= p_d <= 1.0):
         raise ValueError(f"dark-count probability must lie in [0, 1], got {p_d}")
+    return _click_probability(x, y, p_d)
+
+
+def _click_probability(x: float, y: float, p_d: float) -> float:
+    # heralded_rate without its range checks, for simulate: validated
+    # parameters keep every arriving intensity within them.
     s = x + y
     core = math.expm1(0.5 * s) + math.exp(0.5 * s) * _i0_minus_1(math.sqrt(x * y)) + p_d
     return 2.0 * (1.0 - p_d) * math.exp(-s) * core
@@ -290,41 +296,6 @@ def _count(window: float, rate: float) -> int:
     if window <= 0.0:
         return 0
     return min(int(round(window * rate)), int(window))
-
-
-def simulate_decoy_observables(
-    exp: ExperimentalParams, src: SourceParams
-) -> tuple[dict[str, float], tuple[str, ...]]:
-    """Pulse-pair and click counts of the five decoy-analysis windows.
-
-    Returns the counts keyed by their ObservedStats names (``N_oo``,
-    ``n_oo``, ..., ``N_yo``, ``n_yo`` for the windows oo, ox, xo, oy, yo),
-    plus warning flags for windows too small to be meaningful.
-    """
-    eta_a, eta_b = transmittance(exp)
-    pz, pzb = src.p_z, src.p_z_b
-    n_total = exp.N
-    sizes = {
-        "oo": ((1.0 - pz) * ((1.0 - pzb) * src.p0 * src.p0_b + pzb * src.p0 * (1.0 - src.eps_b))
-               + pz * (1.0 - pzb) * (1.0 - src.eps) * src.p0_b) * n_total,
-        "ox": (1.0 - pzb) * src.p1_b * ((1.0 - pz) * src.p0 + pz * (1.0 - src.eps)) * n_total,
-        "xo": (1.0 - pz) * src.p1 * ((1.0 - pzb) * src.p0_b + pzb * (1.0 - src.eps_b)) * n_total,
-        "oy": (1.0 - pzb) * (1.0 - src.p0_b - src.p1_b)
-              * ((1.0 - pz) * src.p0 + pz * (1.0 - src.eps)) * n_total,
-        "yo": (1.0 - pz) * (1.0 - src.p0 - src.p1)
-              * ((1.0 - pzb) * src.p0_b + pzb * (1.0 - src.eps_b)) * n_total,
-    }
-    mu_a = {"o": 0.0, "x": src.mu1, "y": src.mu2}
-    mu_b = {"o": 0.0, "x": src.mu1_b, "y": src.mu2_b}
-    counts: dict[str, float] = {}
-    flags: list[str] = []
-    for w, size in sizes.items():
-        rate = heralded_rate(mu_a[w[0]] * eta_a, mu_b[w[1]] * eta_b, exp.p_d)
-        counts[f"N_{w}"] = size
-        counts[f"n_{w}"] = _count(size, rate)
-        if size < 1.0:
-            flags.append(f"degenerate-window:{w}")
-    return counts, tuple(flags)
 
 
 @lru_cache(maxsize=None)
@@ -384,23 +355,7 @@ def _slice_mean_excess_terms(amp: float, m_slices: int):
 
 
 def _x1_error_probability(x: float, y: float, exp: ExperimentalParams) -> float:
-    """Wrong-click probability of a matched window with arriving intensities x, y."""
-    half = 0.5 * (x + y)
-    root_xy = math.sqrt(x * y)
-    amp = (1.0 - 2.0 * exp.e_d) * root_xy
-    excess = 0.0
-    for term in _slice_mean_excess_terms(amp, exp.M_slices):
-        excess += term  # left to right; sum() compensates from Python 3.12
-    gap = 0.5 * (math.sqrt(x) - math.sqrt(y)) ** 2 + 2.0 * exp.e_d * root_xy  # half - amp
-    e_half = math.exp(-half)
-    bracket = excess - math.exp(-amp) * math.expm1(-gap) + exp.p_d * e_half
-    return (1.0 - exp.p_d) * e_half * bracket
-
-
-def simulate_x1_error(
-    exp: ExperimentalParams, src: SourceParams
-) -> tuple[float, int, tuple[str, ...]]:
-    """Size and error count of the phase-matched mu1 windows, with flags.
+    """Wrong-click probability of a matched window with arriving intensities x, y.
 
     The accepted phase window is |delta| <= pi/M_slices on either the aligned
     or anti-aligned slice (acceptance fraction 2/M_slices).  Misalignment
@@ -419,32 +374,16 @@ def simulate_x1_error(
     cancellation; for e_d <= 1/2 the three bracket terms are then all
     non-negative.
     """
-    eta_a, eta_b = transmittance(exp)
-    size = exp.N * (1.0 - src.p_z) * (1.0 - src.p_z_b) * src.p1 * src.p1_b * (2.0 / exp.M_slices)
-    m = _count(size, _x1_error_probability(src.mu1 * eta_a, src.mu1_b * eta_b, exp))
-    flags = ("all-phases-accepted",) if exp.M_slices == 1 else ()
-    return size, m, flags
-
-
-def simulate_z_counts(
-    exp: ExperimentalParams, src: SourceParams
-) -> tuple[int, int, int, int]:
-    """Effective-event counts of the four signal-window sending patterns.
-
-    Returns (n_c0, n_c1, n_v, n_d): only-Bob-sent, only-Alice-sent, neither
-    sent and both sent.
-    """
-    eta_a, eta_b = transmittance(exp)
-    base = exp.N * src.p_z * src.p_z_b
-    n_v = _count(base * (1.0 - src.eps) * (1.0 - src.eps_b),
-                 heralded_rate(0.0, 0.0, exp.p_d))
-    n_c0 = _count(base * (1.0 - src.eps) * src.eps_b,
-                  heralded_rate(0.0, src.mu_z_b * eta_b, exp.p_d))
-    n_c1 = _count(base * src.eps * (1.0 - src.eps_b),
-                  heralded_rate(src.mu_z * eta_a, 0.0, exp.p_d))
-    n_d = _count(base * src.eps * src.eps_b,
-                 heralded_rate(src.mu_z * eta_a, src.mu_z_b * eta_b, exp.p_d))
-    return n_c0, n_c1, n_v, n_d
+    half = 0.5 * (x + y)
+    root_xy = math.sqrt(x * y)
+    amp = (1.0 - 2.0 * exp.e_d) * root_xy
+    excess = 0.0
+    for term in _slice_mean_excess_terms(amp, exp.M_slices):
+        excess += term  # left to right; sum() compensates from Python 3.12
+    gap = 0.5 * (math.sqrt(x) - math.sqrt(y)) ** 2 + 2.0 * exp.e_d * root_xy  # half - amp
+    e_half = math.exp(-half)
+    bracket = excess - math.exp(-amp) * math.expm1(-gap) + exp.p_d * e_half
+    return (1.0 - exp.p_d) * e_half * bracket
 
 
 def simulate_aopp_counts(
@@ -479,20 +418,61 @@ def simulate_aopp_counts(
 
 
 def simulate(exp: ExperimentalParams, src: SourceParams) -> ObservedStats:
-    """Run the full linear-model simulation and assemble the observed record."""
-    counts, flags = simulate_decoy_observables(exp, src)
-    size_x1, m_x1, x1_flags = simulate_x1_error(exp, src)
-    n_c0, n_c1, n_v, n_d = simulate_z_counts(exp, src)
-    all_flags = list(flags) + list(x1_flags)
+    """Run the full linear-model simulation and assemble the observed record.
+
+    Decoy windows (oo, ox, xo, oy, yo): each side sends the vacuum, mu1 or
+    mu2; a side counts as vacuum in a signal window where it decided not to
+    send.  Windows under one pulse pair are flagged ``degenerate-window:<w>``.
+
+    X1 windows: the mu1-mu1 pairs whose phases fall in the accepted slice,
+    2/M_slices of them; M_slices = 1 accepts every phase and is flagged.
+
+    Signal windows: n_c0, n_c1, n_v and n_d count the effective events where
+    only Bob sent, only Alice sent, neither sent and both sent.  Pairing
+    them (simulate_aopp_counts) gives n_g, n_odd, n_t_prime and E_prime, or
+    zeros and the ``aopp-degenerate`` flag when a bit pool is empty.
+    """
+    eta_a, eta_b = transmittance(exp)
+    p_d, n_total = exp.p_d, exp.N
+    pz, pzb = src.p_z, src.p_z_b
+    dark = _click_probability(0.0, 0.0, p_d)  # no light arrives
+    # Share of pulses in which Alice (Bob) sends the vacuum outside the signal
+    # windows, or decides not to send inside them.
+    vac_a = (1.0 - pz) * src.p0 + pz * (1.0 - src.eps)
+    vac_b = (1.0 - pzb) * src.p0_b + pzb * (1.0 - src.eps_b)
+
+    N_oo = ((1.0 - pz) * ((1.0 - pzb) * src.p0 * src.p0_b + pzb * src.p0 * (1.0 - src.eps_b))
+            + pz * (1.0 - pzb) * (1.0 - src.eps) * src.p0_b) * n_total
+    N_ox = (1.0 - pzb) * src.p1_b * vac_a * n_total
+    N_xo = (1.0 - pz) * src.p1 * vac_b * n_total
+    N_oy = (1.0 - pzb) * (1.0 - src.p0_b - src.p1_b) * vac_a * n_total
+    N_yo = (1.0 - pz) * (1.0 - src.p0 - src.p1) * vac_b * n_total
+    n_oo = _count(N_oo, dark)
+    n_ox = _count(N_ox, _click_probability(0.0, src.mu1_b * eta_b, p_d))
+    n_xo = _count(N_xo, _click_probability(src.mu1 * eta_a, 0.0, p_d))
+    n_oy = _count(N_oy, _click_probability(0.0, src.mu2_b * eta_b, p_d))
+    n_yo = _count(N_yo, _click_probability(src.mu2 * eta_a, 0.0, p_d))
+    flags = [f"degenerate-window:{w}"
+             for w, size in zip(("oo", "ox", "xo", "oy", "yo"), (N_oo, N_ox, N_xo, N_oy, N_yo))
+             if size < 1.0]
+
+    N_X1 = n_total * (1.0 - pz) * (1.0 - pzb) * src.p1 * src.p1_b * (2.0 / exp.M_slices)
+    m_X1 = _count(N_X1, _x1_error_probability(src.mu1 * eta_a, src.mu1_b * eta_b, exp))
+    if exp.M_slices == 1:
+        flags.append("all-phases-accepted")
+
+    base = n_total * pz * pzb
+    z_a, z_b = src.mu_z * eta_a, src.mu_z_b * eta_b
+    n_c0 = _count(base * (1.0 - src.eps) * src.eps_b, _click_probability(0.0, z_b, p_d))
+    n_c1 = _count(base * src.eps * (1.0 - src.eps_b), _click_probability(z_a, 0.0, p_d))
+    n_v = _count(base * (1.0 - src.eps) * (1.0 - src.eps_b), dark)
+    n_d = _count(base * src.eps * src.eps_b, _click_probability(z_a, z_b, p_d))
     try:
         n_g, n_t_prime, n_odd, e_prime = simulate_aopp_counts(n_c0, n_c1, n_v, n_d)
     except ValueError:
         n_g = n_t_prime = n_odd = e_prime = 0.0
-        all_flags.append("aopp-degenerate")
+        flags.append("aopp-degenerate")
     return ObservedStats(
-        **counts,
-        N_X1=size_x1, m_X1=m_x1,
-        n_c0=n_c0, n_c1=n_c1, n_v=n_v, n_d=n_d,
-        n_g=n_g, n_odd=n_odd, n_t_prime=n_t_prime, E_prime=e_prime,
-        flags=tuple(all_flags),
+        N_oo, N_ox, N_xo, N_oy, N_yo, n_oo, n_ox, n_xo, n_oy, n_yo, N_X1, m_X1,
+        n_c0, n_c1, n_v, n_d, n_g, n_odd, n_t_prime, e_prime, tuple(flags),
     )

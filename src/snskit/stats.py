@@ -6,8 +6,9 @@ s = ln(t/X), to the two roots of a convex relative-entropy residual, one
 on each side of s = 0.  Callers need one end of an interval at a time, so
 each end is its own function: a closed-form seed (the branch-point series
 s ~ +-sqrt(2c) near s = 0, the asymptote or the Lambert-W form far from
-it) followed by a few Newton steps, which converge quadratically.  The
-two-sided ``*_bounds`` functions compose the one-sided ends.
+it) followed by a few Newton steps, which converge quadratically.  Each
+end runs its own Newton loop with its residual and slope written out
+inline.  The two-sided ``*_bounds`` functions compose the one-sided ends.
 
 The binomial tail and its two inversions check their arguments here and
 compute in ``snskit.binomial``, which they import at their first call:
@@ -37,7 +38,17 @@ __all__ = [
 ]
 
 _LOG_SPAN = 690.0  # widest log-ratio solved for; exp() stays finite below it
-_NEWTON_RTOL = 1e-8  # relative step after which a quadratic step adds nothing
+# Each residual at the edge of the span: a c beyond it has its root outside.
+_REL_ENTROPY_AT_LOWER_EDGE = math.expm1(-_LOG_SPAN) + _LOG_SPAN
+_REL_ENTROPY_AT_UPPER_EDGE = math.expm1(_LOG_SPAN) - _LOG_SPAN
+_EXCESS_ENTROPY_AT_UPPER_EDGE = math.expm1(_LOG_SPAN) * (_LOG_SPAN - 1.0) + _LOG_SPAN
+# Every residual is convex or concave and monotone on the side of 0 it is
+# solved on, so after the first Newton step the iterates approach the root
+# from one side.  Convergence is quadratic: once a step falls below
+# _NEWTON_RTOL * |s| the next one would be below double precision.  The step
+# cap only guards the regime where rounding in the residual, not the root,
+# sets the step size (counts beyond ~1e15).
+_NEWTON_RTOL = 1e-8
 _NEWTON_MAX_STEPS = 50
 
 
@@ -75,51 +86,6 @@ def _check_failure_prob(xi: float) -> None:
         raise ValueError(f"failure probability must lie in (0, 1), got {xi!r}")
 
 
-def _rel_entropy_residual(s: float) -> float:
-    """t/X - 1 - ln(t/X) expressed through s = ln(t/X); convex, zero at s = 0."""
-    return math.expm1(s) - s
-
-
-def _excess_entropy_residual(s: float) -> float:
-    """u*ln(u) - u + 1 expressed through s = ln(u); convex, zero at s = 0."""
-    return math.expm1(s) * (s - 1.0) + s
-
-
-def _excess_entropy_slope(s: float) -> float:
-    return math.exp(s) * s
-
-
-def _excess_entropy_log_gap(s: float) -> float:
-    """ln(1 - (u*ln(u) - u + 1)) = s + ln(1 - s) through s = ln(u), for s < 1.
-
-    Below s = 0 the residual flattens towards 1 and loses its low digits
-    in floating point; this form keeps them.
-    """
-    return s + math.log1p(-s)
-
-
-def _excess_entropy_log_gap_slope(s: float) -> float:
-    return -s / (1.0 - s)
-
-
-def _newton(f, slope, target: float, s: float) -> float:
-    """Root of f(s) = target by Newton steps from the seed s.
-
-    Every residual here is convex or concave and monotone on the side of 0
-    it is solved on, so after the first step the iterates approach the root
-    from one side.  Convergence is quadratic: once a step falls below
-    _NEWTON_RTOL * |s| the next one would be below double precision.  The
-    step cap only guards the regime where rounding in f, not the root,
-    sets the step size (counts beyond ~1e15).
-    """
-    for _ in range(_NEWTON_MAX_STEPS):
-        step = (f(s) - target) / slope(s)
-        s -= step
-        if abs(step) < _NEWTON_RTOL * abs(s):
-            break
-    return s
-
-
 def _checked_cap(value: float, failure_prob: float, what: str) -> float:
     """Validate one bound's arguments and return ln(2/xi)."""
     if not math.isfinite(value) or value < 0.0:
@@ -139,10 +105,16 @@ def chernoff_expected_lower(observed: float, failure_prob: float) -> float:
     if X == 0.0:
         return 0.0
     c = cap / X
-    if _rel_entropy_residual(-_LOG_SPAN) <= c:
+    if _REL_ENTROPY_AT_LOWER_EDGE <= c:
         return 0.0  # root sits below X*e^-690; indistinguishable from zero
-    seed = -math.sqrt(2.0 * c) - c / 3.0 if c < 1.0 else -1.0 - c
-    return X * math.exp(_newton(_rel_entropy_residual, math.expm1, c, seed))
+    s = -math.sqrt(2.0 * c) - c / 3.0 if c < 1.0 else -1.0 - c
+    for _ in range(_NEWTON_MAX_STEPS):
+        e = math.expm1(s)
+        step = (e - s - c) / e
+        s -= step
+        if abs(step) < _NEWTON_RTOL * abs(s):
+            break
+    return X * math.exp(s)
 
 
 def chernoff_expected_upper(observed: float, failure_prob: float) -> float:
@@ -157,10 +129,16 @@ def chernoff_expected_upper(observed: float, failure_prob: float) -> float:
     if X == 0.0:
         return cap
     c = cap / X
-    if _rel_entropy_residual(_LOG_SPAN) < c:
+    if _REL_ENTROPY_AT_UPPER_EDGE < c:
         return cap  # only reachable for sub-1e-290 counts; cap is conservative
-    seed = math.sqrt(2.0 * c) - c / 3.0 if c < 1.0 else math.log1p(c + math.log1p(c))
-    return X * math.exp(_newton(_rel_entropy_residual, math.expm1, c, seed))
+    s = math.sqrt(2.0 * c) - c / 3.0 if c < 1.0 else math.log1p(c + math.log1p(c))
+    for _ in range(_NEWTON_MAX_STEPS):
+        e = math.expm1(s)
+        step = (e - s - c) / e
+        s -= step
+        if abs(step) < _NEWTON_RTOL * abs(s):
+            break
+    return X * math.exp(s)
 
 
 def chernoff_observed_lower(expected: float, failure_prob: float) -> float:
@@ -170,7 +148,9 @@ def chernoff_observed_lower(expected: float, failure_prob: float) -> float:
     ``s + ln(1 - s) = ln(1 - c)`` in s = ln(u); the seed is the branch-point
     series -sqrt(2c) - 2c/3 for small c and ln(1 - c) - ln(1 - ln(1 - c))
     towards c = 1.  No root exists once c >= 1 (the residual stays below 1
-    on (0, 1)), and the end is 0.
+    on (0, 1)), and the end is 0.  Below s = 0 the residual flattens
+    towards 1 and loses its low digits in floating point; the log form
+    keeps them.
     """
     Y = float(expected)
     cap = _checked_cap(Y, failure_prob, "expected value")
@@ -180,8 +160,12 @@ def chernoff_observed_lower(expected: float, failure_prob: float) -> float:
     if c >= 1.0:
         return 0.0
     target = math.log1p(-c)
-    seed = -math.sqrt(2.0 * c) - 2.0 * c / 3.0 if c < 0.5 else target - math.log1p(-target)
-    s = _newton(_excess_entropy_log_gap, _excess_entropy_log_gap_slope, target, seed)
+    s = -math.sqrt(2.0 * c) - 2.0 * c / 3.0 if c < 0.5 else target - math.log1p(-target)
+    for _ in range(_NEWTON_MAX_STEPS):
+        step = (s + math.log1p(-s) - target) / (-s / (1.0 - s))
+        s -= step
+        if abs(step) < _NEWTON_RTOL * abs(s):
+            break
     return Y * math.exp(s)
 
 
@@ -198,14 +182,18 @@ def chernoff_observed_upper(expected: float, failure_prob: float) -> float:
     if Y == 0.0:
         return cap
     c = cap / Y
-    if _excess_entropy_residual(_LOG_SPAN) < c:
+    if _EXCESS_ENTROPY_AT_UPPER_EDGE < c:
         return cap  # degenerate sub-1e-300 expectation; cap is conservative
     if c < 1.0:
-        seed = math.sqrt(2.0 * c) - 2.0 * c / 3.0
+        s = math.sqrt(2.0 * c) - 2.0 * c / 3.0
     else:
         w = math.log1p((c - 1.0) / math.e)
-        seed = 1.0 + w * (1.0 - math.log1p(w) / (2.0 + w))
-    s = _newton(_excess_entropy_residual, _excess_entropy_slope, c, seed)
+        s = 1.0 + w * (1.0 - math.log1p(w) / (2.0 + w))
+    for _ in range(_NEWTON_MAX_STEPS):
+        step = (math.expm1(s) * (s - 1.0) + s - c) / (math.exp(s) * s)
+        s -= step
+        if abs(step) < _NEWTON_RTOL * abs(s):
+            break
     return Y * math.exp(s)
 
 

@@ -13,9 +13,6 @@ from snskit.channel import (
     heralded_rate,
     simulate,
     simulate_aopp_counts,
-    simulate_decoy_observables,
-    simulate_x1_error,
-    simulate_z_counts,
     transmittance,
 )
 from tests.conftest import GOLDEN_SRC, table1_exp
@@ -253,29 +250,51 @@ def _golden_setup():
 
 
 def test_decoy_counts_are_keyed_by_observed_stats_names():
-    exp, src = _golden_setup()
-    counts, _ = simulate_decoy_observables(exp, src)
-    assert set(counts) == {f"{kind}_{w}" for kind in ("N", "n") for w in _WINDOWS}
-    assert set(counts) <= {f.name for f in dataclasses.fields(ObservedStats)}
+    # simulate fills the record positionally.  Unequal arms and an
+    # asymmetric source give every decoy window its own size and count, so a
+    # value put into the wrong field shows.
+    exp = table1_exp(300.0, L_A=170.0, L_B=130.0)
+    src = SourceParams(0.9, 0.3, 0.05, 0.8, 0.04, 0.3, 0.5,
+                       0.85, 0.2, 0.1, 0.7, 0.06, 0.25, 0.4)
+    obs = simulate(exp, src)
+    assert {f"{kind}_{w}" for kind in ("N", "n") for w in _WINDOWS} <= {
+        f.name for f in dataclasses.fields(ObservedStats)
+    }
+    eta_a, eta_b = transmittance(exp)
+    vac_a = (1 - src.p_z) * src.p0 + src.p_z * (1 - src.eps)
+    vac_b = (1 - src.p_z_b) * src.p0_b + src.p_z_b * (1 - src.eps_b)
+    mu_a = {"x": src.mu1 * eta_a, "y": src.mu2 * eta_a}
+    mu_b = {"x": src.mu1_b * eta_b, "y": src.mu2_b * eta_b}
+    want_sizes = {
+        "ox": (1 - src.p_z_b) * src.p1_b * vac_a * exp.N,
+        "xo": (1 - src.p_z) * src.p1 * vac_b * exp.N,
+        "oy": (1 - src.p_z_b) * (1 - src.p0_b - src.p1_b) * vac_a * exp.N,
+        "yo": (1 - src.p_z) * (1 - src.p0 - src.p1) * vac_b * exp.N,
+    }
+    for w, size in want_sizes.items():
+        x, y = mu_a.get(w[0], 0.0), mu_b.get(w[1], 0.0)
+        assert getattr(obs, f"N_{w}") == pytest.approx(size, rel=1e-12), w
+        assert getattr(obs, f"n_{w}") == round(size * heralded_rate(x, y, exp.p_d)), w
+    assert len({getattr(obs, f"n_{w}") for w in _WINDOWS}) == len(_WINDOWS)
 
 
 def test_decoy_window_sizes_are_disjoint_subsets():
     exp, src = _golden_setup()
-    counts, _ = simulate_decoy_observables(exp, src)
-    assert sum(counts[f"N_{w}"] for w in _WINDOWS) < exp.N
+    obs = simulate(exp, src)
+    assert sum(getattr(obs, f"N_{w}") for w in _WINDOWS) < exp.N
 
 
 def test_decoy_windows_symmetric():
     exp, src = _golden_setup()
-    counts, _ = simulate_decoy_observables(exp, src)
-    assert counts["N_ox"] == counts["N_xo"]
-    assert counts["n_ox"] == counts["n_xo"]
-    assert counts["N_oy"] == counts["N_yo"]
+    obs = simulate(exp, src)
+    assert obs.N_ox == obs.N_xo
+    assert obs.n_ox == obs.n_xo
+    assert obs.N_oy == obs.N_yo
 
 
 def test_decoy_window_sizes_match_inline_recomputation():
     exp, src = _golden_setup()
-    counts, _ = simulate_decoy_observables(exp, src)
+    obs = simulate(exp, src)
     pz = 0.92
     p0, p1, eps = 0.025, 0.927, 0.28
     n = 1e12
@@ -283,23 +302,23 @@ def test_decoy_window_sizes_match_inline_recomputation():
                + pz * (1 - pz) * (1 - eps) * p0) * n
     want_ox = (1 - pz) * p1 * ((1 - pz) * p0 + pz * (1 - eps)) * n
     want_oy = (1 - pz) * (1 - p0 - p1) * ((1 - pz) * p0 + pz * (1 - eps)) * n
-    assert counts["N_oo"] == pytest.approx(want_oo, rel=1e-12)
-    assert counts["N_ox"] == pytest.approx(want_ox, rel=1e-12)
-    assert counts["N_oy"] == pytest.approx(want_oy, rel=1e-12)
+    assert obs.N_oo == pytest.approx(want_oo, rel=1e-12)
+    assert obs.N_ox == pytest.approx(want_ox, rel=1e-12)
+    assert obs.N_oy == pytest.approx(want_oy, rel=1e-12)
 
 
 def test_decoy_rates_golden_values():
     # Frozen from a one-off recomputation of the closed-form expectations.
     exp, src = _golden_setup()
-    counts, flags = simulate_decoy_observables(exp, src)
-    assert flags == ()
-    assert counts["n_oo"] == 53
-    assert counts["n_ox"] == 680931
-    assert counts["n_oy"] == 209755
-    assert counts["n_ox"] / counts["N_ox"] == pytest.approx(
+    obs = simulate(exp, src)
+    assert obs.flags == ()
+    assert obs.n_oo == 53
+    assert obs.n_ox == 680931
+    assert obs.n_oy == 209755
+    assert obs.n_ox / obs.N_ox == pytest.approx(
         1.3819863750343406e-05, rel=1e-12, abs=0.0
     )
-    assert counts["n_oy"] / counts["N_oy"] == pytest.approx(
+    assert obs.n_oy / obs.N_oy == pytest.approx(
         8.221507814067846e-05, rel=1e-12, abs=0.0
     )
 
@@ -307,8 +326,7 @@ def test_decoy_rates_golden_values():
 def test_decoy_window_degenerate_flag():
     exp, src = _golden_setup()
     tiny = table1_exp(300.0, N=1e2)
-    _, flags = simulate_decoy_observables(tiny, src)
-    assert any(f.startswith("degenerate-window") for f in flags)
+    assert any(f.startswith("degenerate-window") for f in simulate(tiny, src).flags)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +338,8 @@ def test_x1_error_misalignment_half_kills_interference():
     # the equal-split one-detector rate whatever the accepted phase.
     exp = table1_exp(300.0, e_d=0.5)
     src = SourceParams.symmetric(**GOLDEN_SRC)
-    size, m, _ = simulate_x1_error(exp, src)
+    obs = simulate(exp, src)
+    size, m = obs.N_X1, obs.m_X1
     x = src.mu1 * transmittance(exp)[0]
     s = 2.0 * x
     pd = exp.p_d
@@ -336,7 +355,7 @@ def test_x1_error_perfect_interference_limit():
     # (pi/M)^2, the window size as 1/M).
     src = SourceParams.symmetric(**GOLDEN_SRC)
     counts = [
-        simulate_x1_error(table1_exp(300.0, e_d=0.0, p_d=0.0, M_slices=m_slices), src)[1]
+        simulate(table1_exp(300.0, e_d=0.0, p_d=0.0, M_slices=m_slices), src).m_X1
         for m_slices in (16, 32, 64, 128)
     ]
     assert counts == [61, 8, 1, 0]
@@ -354,7 +373,8 @@ def test_x1_error_quadrature_against_dense_trapezoid():
     q = (1.0 - (1.0 - exp.p_d) * np.exp(-mu_w)) * (1.0 - exp.p_d) * np.exp(-mu_r)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
     dense = float(trapezoid(q, delta) / b)
-    size, m, _ = simulate_x1_error(exp, src)
+    obs = simulate(exp, src)
+    size, m = obs.N_X1, obs.m_X1
     assert m == round(size * dense)
     assert m == 633  # frozen
     assert size == pytest.approx(687463199.9999994, rel=1e-12)
@@ -362,12 +382,11 @@ def test_x1_error_quadrature_against_dense_trapezoid():
 
 def test_x1_window_size_scales_with_slice_count():
     exp, src = _golden_setup()
-    size16, _, _ = simulate_x1_error(exp, src)
-    size32, _, flags = simulate_x1_error(table1_exp(300.0, M_slices=32), src)
-    assert size16 == pytest.approx(2.0 * size32, rel=1e-12)
-    assert flags == ()
-    _, _, flags1 = simulate_x1_error(table1_exp(300.0, M_slices=1), src)
-    assert flags1 == ("all-phases-accepted",)
+    size16 = simulate(exp, src).N_X1
+    obs32 = simulate(table1_exp(300.0, M_slices=32), src)
+    assert size16 == pytest.approx(2.0 * obs32.N_X1, rel=1e-12)
+    assert obs32.flags == ()
+    assert simulate(table1_exp(300.0, M_slices=1), src).flags == ("all-phases-accepted",)
 
 
 def _slice_average_oracle(x, y, exp):
@@ -478,7 +497,8 @@ def test_x1_error_count_matches_gauss_legendre(L_total, m_slices, exp_overrides)
     exp = table1_exp(L_total, M_slices=m_slices, **exp_overrides)
     src = SourceParams.symmetric(**GOLDEN_SRC)
     eta_a, eta_b = transmittance(exp)
-    size, m, _ = simulate_x1_error(exp, src)
+    obs = simulate(exp, src)
+    size, m = obs.N_X1, obs.m_X1
     want = _gauss_legendre_64(src.mu1 * eta_a, src.mu1_b * eta_b, exp)
     assert m == min(int(round(size * want)), int(size))
 
@@ -487,10 +507,15 @@ def test_x1_error_count_matches_gauss_legendre(L_total, m_slices, exp_overrides)
 # Signal-window counts
 
 
+def _z_counts(obs):
+    return obs.n_c0, obs.n_c1, obs.n_v, obs.n_d
+
+
 def test_z_counts_golden_tuple():
     exp, src = _golden_setup()
-    assert simulate_z_counts(exp, src) == (25800383, 25800383, 8775, 20064121)
-    assert simulate(exp, src).n_t == 71673662
+    obs = simulate(exp, src)
+    assert _z_counts(obs) == (25800383, 25800383, 8775, 20064121)
+    assert obs.n_t == 71673662
 
 
 def test_z_counts_match_inline_recomputation():
@@ -501,16 +526,16 @@ def test_z_counts_match_inline_recomputation():
                     * heralded_rate(0.0, src.mu_z_b * eta_b, exp.p_d))
     want_d = round(base * src.eps * src.eps_b
                    * heralded_rate(src.mu_z * eta_a, src.mu_z_b * eta_b, exp.p_d))
-    n_c0, _, _, n_d = simulate_z_counts(exp, src)
-    assert n_c0 == want_c0
-    assert n_d == want_d
+    obs = simulate(exp, src)
+    assert obs.n_c0 == want_c0
+    assert obs.n_d == want_d
 
 
 def test_z_counts_vanish_without_light_or_darks():
     # Dark-free detectors and a channel lossy enough that no light arrives.
     exp = table1_exp(4000.0, p_d=0.0)
     src = SourceParams.symmetric(**GOLDEN_SRC)
-    assert simulate_z_counts(exp, src) == (0, 0, 0, 0)
+    assert _z_counts(simulate(exp, src)) == (0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ from snskit.keyrate import evaluate
 
 ASYM_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "asym_scan.cfg"
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "table1_symmetric.cfg"
+# Byte-exact outputs frozen from an earlier version of the code:
+# `snskit tables --seed 1`, and `snskit scan` on a copy of the asymmetric
+# benchmark config.
+DATA = Path(__file__).resolve().parent / "data"
 
 BASE_CONFIG = """\
 # hardware
@@ -457,10 +461,18 @@ def test_cli_rate_optimizes_without_fixed_source(tmp_path):
 
 
 def test_cli_tables_command_small_budget():
-    cp = _run_cli("tables", "--seed", "1")
+    cp = subprocess.run([sys.executable, "-m", "snskit", "tables", "--seed", "1"],
+                        capture_output=True)
     assert cp.returncode == 0, cp.stderr
-    assert "plob1" in cp.stdout
-    assert cp.stdout.count("Benchmark rates") == 2
+    assert b"plob1" in cp.stdout
+    assert cp.stdout.count(b"Benchmark rates") == 2
+    assert cp.stdout == (DATA / "tables_seed1.txt").read_bytes()
+
+
+def test_cli_scan_matches_the_frozen_asymmetric_csv(tmp_path):
+    out = tmp_path / "asym.csv"
+    assert main(["scan", "--config", str(DATA / "asym_scan.cfg"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "asym_scan.csv").read_bytes()
 
 
 @pytest.mark.parametrize("flag", ["--restarts", "--max-evals"])

@@ -340,26 +340,33 @@ def test_expected_lower_at_the_vanishing_root_edge():
 
 def test_newton_seeds_converge_in_few_steps(monkeypatch):
     # The closed-form seeds leave every root a few quadratic steps away; a
-    # poor seed would still converge, only slowly.
-    real = stats._newton
+    # poor seed would still converge, only slowly.  Every Newton step ends
+    # in one stop test, abs(step) < _NEWTON_RTOL * abs(s), so a tolerance
+    # that counts its products counts the steps of each root's loop.
+    products = [0]
+
+    class CountingTolerance(float):
+        def __mul__(self, other):
+            products[0] += 1
+            return float(self) * other
+
+    monkeypatch.setattr(stats, "_NEWTON_RTOL", CountingTolerance(stats._NEWTON_RTOL))
     steps: list[int] = []
 
-    def counting(f, slope, target, s):
-        calls = [0]
+    def counted(root):
+        def call(x, xi):
+            products[0] = 0
+            result = root(x, xi)
+            if products[0]:  # a root that returns before its loop takes no step
+                steps.append(products[0])
+            return result
 
-        def counted(x):
-            calls[0] += 1
-            return f(x)
+        return call
 
-        root = real(counted, slope, target, s)
-        steps.append(calls[0])
-        return root
-
-    monkeypatch.setattr(stats, "_newton", counting)
     xi = 1e-10
     cap = math.log(2.0 / xi)
-    roots = (chernoff_expected_lower, chernoff_expected_upper,
-             chernoff_observed_lower, chernoff_observed_upper)
+    roots = [counted(root) for root in (chernoff_expected_lower, chernoff_expected_upper,
+                                        chernoff_observed_lower, chernoff_observed_upper)]
     for k in range(-320, 57):  # c from 1e-16 to about 400, 20 per decade
         X = cap / 10.0 ** (k / 20.0)
         for root in roots:
@@ -376,7 +383,7 @@ def test_newton_seeds_converge_in_few_steps(monkeypatch):
     # exact to double precision as well.
     steps.clear()
     for c in (40.0, 100.0, 600.0):
-        chernoff_expected_lower(cap / c, xi)
+        roots[0](cap / c, xi)
     assert steps == [1, 1, 1]
 
 
