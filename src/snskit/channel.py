@@ -129,10 +129,14 @@ class SourceParams:
     mu_z_b: float
 
     def __post_init__(self) -> None:
-        for name in ("p_z", "eps", "p0", "p1", "p_z_b", "eps_b", "p0_b", "p1_b"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+        if not (0.0 < self.p_z < 1.0 and 0.0 < self.eps < 1.0 and 0.0 < self.p0 < 1.0
+                and 0.0 < self.p1 < 1.0 and 0.0 < self.p_z_b < 1.0 and 0.0 < self.eps_b < 1.0
+                and 0.0 < self.p0_b < 1.0 and 0.0 < self.p1_b < 1.0):
+            # Only on failure: name the first field out of range.
+            for name in ("p_z", "eps", "p0", "p1", "p_z_b", "eps_b", "p0_b", "p1_b"):
+                v = getattr(self, name)
+                if not (0.0 < v < 1.0):
+                    raise ValueError(f"{name} must lie in (0, 1), got {v}")
         if self.p0 + self.p1 > 1.0:
             raise ValueError(f"p0 + p1 must be <= 1, got {self.p0 + self.p1}")
         if self.p0_b + self.p1_b > 1.0:
@@ -292,10 +296,15 @@ def _click_probability(x: float, y: float, p_d: float) -> float:
     return 2.0 * (1.0 - p_d) * math.exp(-s) * core
 
 
+def _one_sided_click_probability(x: float, p_d: float) -> float:
+    # _click_probability with no light from one side, where the I0 term is 0.
+    return 2.0 * (1.0 - p_d) * math.exp(-x) * (math.expm1(0.5 * x) + p_d)
+
+
 def _count(window: float, rate: float) -> int:
     if window <= 0.0:
         return 0
-    return min(int(round(window * rate)), int(window))
+    return min(round(window * rate), int(window))
 
 
 @lru_cache(maxsize=None)
@@ -435,7 +444,7 @@ def simulate(exp: ExperimentalParams, src: SourceParams) -> ObservedStats:
     eta_a, eta_b = transmittance(exp)
     p_d, n_total = exp.p_d, exp.N
     pz, pzb = src.p_z, src.p_z_b
-    dark = _click_probability(0.0, 0.0, p_d)  # no light arrives
+    dark = _one_sided_click_probability(0.0, p_d)  # no light arrives
     # Share of pulses in which Alice (Bob) sends the vacuum outside the signal
     # windows, or decides not to send inside them.
     vac_a = (1.0 - pz) * src.p0 + pz * (1.0 - src.eps)
@@ -448,10 +457,10 @@ def simulate(exp: ExperimentalParams, src: SourceParams) -> ObservedStats:
     N_oy = (1.0 - pzb) * (1.0 - src.p0_b - src.p1_b) * vac_a * n_total
     N_yo = (1.0 - pz) * (1.0 - src.p0 - src.p1) * vac_b * n_total
     n_oo = _count(N_oo, dark)
-    n_ox = _count(N_ox, _click_probability(0.0, src.mu1_b * eta_b, p_d))
-    n_xo = _count(N_xo, _click_probability(src.mu1 * eta_a, 0.0, p_d))
-    n_oy = _count(N_oy, _click_probability(0.0, src.mu2_b * eta_b, p_d))
-    n_yo = _count(N_yo, _click_probability(src.mu2 * eta_a, 0.0, p_d))
+    n_ox = _count(N_ox, _one_sided_click_probability(src.mu1_b * eta_b, p_d))
+    n_xo = _count(N_xo, _one_sided_click_probability(src.mu1 * eta_a, p_d))
+    n_oy = _count(N_oy, _one_sided_click_probability(src.mu2_b * eta_b, p_d))
+    n_yo = _count(N_yo, _one_sided_click_probability(src.mu2 * eta_a, p_d))
     flags = [f"degenerate-window:{w}"
              for w, size in zip(("oo", "ox", "xo", "oy", "yo"), (N_oo, N_ox, N_xo, N_oy, N_yo))
              if size < 1.0]
@@ -463,8 +472,8 @@ def simulate(exp: ExperimentalParams, src: SourceParams) -> ObservedStats:
 
     base = n_total * pz * pzb
     z_a, z_b = src.mu_z * eta_a, src.mu_z_b * eta_b
-    n_c0 = _count(base * (1.0 - src.eps) * src.eps_b, _click_probability(0.0, z_b, p_d))
-    n_c1 = _count(base * src.eps * (1.0 - src.eps_b), _click_probability(z_a, 0.0, p_d))
+    n_c0 = _count(base * (1.0 - src.eps) * src.eps_b, _one_sided_click_probability(z_b, p_d))
+    n_c1 = _count(base * src.eps * (1.0 - src.eps_b), _one_sided_click_probability(z_a, p_d))
     n_v = _count(base * (1.0 - src.eps) * (1.0 - src.eps_b), dark)
     n_d = _count(base * src.eps * src.eps_b, _click_probability(z_a, z_b, p_d))
     try:

@@ -21,14 +21,10 @@ from dataclasses import dataclass, field
 
 from .budget import SecurityBudget
 from .channel import ExperimentalParams, ObservedStats, SourceParams
+from .stats import _expected_lower, _expected_upper, mcdiarmid_delta
 # chernoff_expected_bounds stays a module attribute: the benchmark's tracer
 # (bench/workloads.py, trace_targets) wraps it by name.
-from .stats import (  # noqa: F401
-    chernoff_expected_bounds,
-    chernoff_expected_lower,
-    chernoff_expected_upper,
-    mcdiarmid_delta,
-)
+from .stats import chernoff_expected_bounds  # noqa: F401
 
 __all__ = ["UntaggedBounds", "bound_s01_s10", "bound_s1", "bound_untagged_counts",
            "bound_e1ph_chernoff", "bound_e1ph_mcdiarmid", "estimate_untagged"]
@@ -65,7 +61,7 @@ def _rate_lower(n: float, size: float, xi: float) -> float:
         return 0.0
     if xi >= 1.0:  # fluctuation-free switch
         return n / size
-    return chernoff_expected_lower(n, xi) / size
+    return _expected_lower(n, math.log(2.0 / xi)) / size
 
 
 def _rate_upper(n: float, size: float, xi: float) -> float:
@@ -74,7 +70,7 @@ def _rate_upper(n: float, size: float, xi: float) -> float:
         return 1.0
     if xi >= 1.0:
         return n / size
-    return min(chernoff_expected_upper(n, xi) / size, 1.0)
+    return min(_expected_upper(n, math.log(2.0 / xi)) / size, 1.0)
 
 
 def _single_side_rate(m1: float, m2: float, s_m1_L: float, s_m2_U: float, s_oo_U: float) -> float:

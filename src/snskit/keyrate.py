@@ -154,7 +154,7 @@ def evaluate(
     rate = key_rate(zz.n1_prime, zz.e1ph_prime, obs.n_t_prime, obs.E_prime, exp, budget)
     if rate == 0.0 and zz.n1_prime > 0:  # key_rate clamped its margin
         flags += ("negative-secret-margin",)
-    if any(f in VACUOUS_FLAGS for f in flags):
+    if not VACUOUS_FLAGS.isdisjoint(flags):
         rate = 0.0
     return KeyRateReport(
         exp=exp, src=src, method=method, mode=mode, budget=budget,

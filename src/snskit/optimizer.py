@@ -14,9 +14,7 @@ deterministic per seed.  Each restart reports one compact record, not its
 evaluations.  The starts are the draws of numpy's
 ``default_rng(seed).uniform(-2, 2, size=dim)``, reproduced bit for bit by a
 standard-library port of its SeedSequence and PCG64 (``_Pcg64``), so a
-search loads no ``numpy.random`` (numpy 2 imports it only on first use,
-hence the ``numpy>=2.0`` floor).  numpy serves only the simplex's argsort,
-imported at the first sort, so ``import snskit`` loads no numpy.
+search needs no numpy.
 
 The simplex minimizes ``-ln R``.  It only compares objective values, so
 any strictly decreasing transform of R makes the same moves; this one makes
@@ -34,16 +32,20 @@ objective calls, infeasible corners included) reads no positive rate meets
 the stop right there: on that flat plateau the simplex has no direction to
 descend.  Its record has ``status == -1``, which ``plateau`` reads.
 
-The simplex is a small in-package loop on lists of floats that makes
-exactly the moves of scipy's ``minimize(method="Nelder-Mead")``, so
-``import snskit`` and every optimization run without ``scipy.optimize``.
+The simplex is a small in-package loop on lists of floats that makes the
+moves of scipy's ``minimize(method="Nelder-Mead")``.  It sorts its vertices
+in Python, and tied values go to the lexicographically smaller vertex, so a
+search gives the same result on every CPU and imports neither numpy nor
+scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 from numbers import Integral
+from operator import add
 
 from .budget import SecurityBudget
 from .channel import _MAX_INTENSITY, ExperimentalParams, SourceParams, constraint_ratio
@@ -331,14 +333,12 @@ class _Simplex:
         return objective(x)
 
     def sort(self) -> None:
-        # numpy's default argsort is unstable: it decides the order of tied
-        # vertices, so this sorts exactly when and how scipy does.  Imported
-        # here, so that only a search loads numpy.
-        from numpy import argsort
-
-        order = argsort(self.values)
-        self.vertices[:] = [self.vertices[i] for i in order]
-        self.values[:] = [self.values[i] for i in order]
+        # Tied values go to the lexicographically smaller vertex, a total
+        # order that holds on every CPU and Python build.
+        values, vertices = self.values, self.vertices
+        order = sorted(range(len(values)), key=lambda i: (values[i], vertices[i]))
+        vertices[:] = [vertices[i] for i in order]
+        values[:] = [values[i] for i in order]
 
 
 def _initial_simplex(objective, vertices: "list[list[float]]", max_evals: int) -> _Simplex:
@@ -351,7 +351,6 @@ def _initial_simplex(objective, vertices: "list[list[float]]", max_evals: int) -
     except _Capped:
         pass
     simplex.sort()
-    simplex.sort()  # scipy sorts the initial simplex twice
     return simplex
 
 
@@ -360,13 +359,16 @@ def _nelder_mead(objective, simplex: _Simplex, max_evals: int, fatol: float) -> 
 
     Makes scipy's Nelder-Mead moves (``_minimize_neldermead``, default
     coefficients: reflect 1, expand 2, contract 1/2, shrink 1/2) in the same
-    floating-point operation order and with the same argsort calls, so it
-    evaluates the same points bit for bit.  Stops when the objective values
-    at all vertices agree to ``fatol`` (status 0), or when the simplex has
-    made ``max_evals`` calls in all (status 1), abandoning a step the cap
-    cuts short.  Returns the status.  No move reads ``fatol``, only the stop
-    test before each step, so resuming a simplex stopped at a looser
-    ``fatol`` evaluates exactly the points one run at the tighter one would.
+    floating-point operation order and sorts where scipy does, so it
+    evaluates the same points bit for bit wherever no two vertices tie.
+    Tied values go to the lexicographically smaller vertex, where scipy's
+    order comes from numpy's argsort and may differ.  Stops when the
+    objective values at all vertices agree to ``fatol`` (status 0), or when
+    the simplex has made ``max_evals`` calls in all (status 1), abandoning a
+    step the cap cuts short.  Returns the status.  No move reads ``fatol``,
+    only the stop test before each step, so resuming a simplex stopped at a
+    looser ``fatol`` evaluates exactly the points one run at the tighter one
+    would.
     """
     n = len(simplex.vertices) - 1
     sim, fsim = simplex.vertices, simplex.values
@@ -375,13 +377,11 @@ def _nelder_mead(objective, simplex: _Simplex, max_evals: int, fatol: float) -> 
         return simplex.call(objective, x, max_evals)
 
     while simplex.nfev < max_evals:
-        if max(abs(fsim[0] - fi) for fi in fsim[1:]) <= fatol:
+        if fsim[-1] - fsim[0] <= fatol:  # sorted, so the widest spread
             break
         try:
-            c = sim[0]
-            for v in sim[1:n]:  # summed left to right; sum() would compensate
-                c = [a + b for a, b in zip(c, v)]
-            c = [a / n for a in c]
+            # Each coordinate summed left to right; sum() would compensate.
+            c = [reduce(add, col) / n for col in zip(*sim[:n])]
             w = sim[-1]
             xr = [2.0 * a - b for a, b in zip(c, w)]
             fxr = f(xr)
@@ -563,7 +563,9 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     generator, bit for bit the draws of numpy's
     ``default_rng(seed).uniform``, and the result is the best evaluation
     over all restarts, with ties broken toward the lexicographically
-    smaller parameter vector.  numpy serves only the simplex's argsort.
+    smaller parameter vector.  The simplex breaks ties between vertices
+    the same way, toward the smaller search vector, so the result does not
+    depend on the CPU or on any library's sort.
     A symmetric search rejects an ``x0`` whose two sides differ.
     """
     coarse = [_run_restart(problem, start) for start in _starts(problem)]

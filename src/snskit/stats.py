@@ -9,6 +9,8 @@ s ~ +-sqrt(2c) near s = 0, the asymptote or the Lambert-W form far from
 it) followed by a few Newton steps, which converge quadratically.  Each
 end runs its own Newton loop with its residual and slope written out
 inline.  The two-sided ``*_bounds`` functions compose the one-sided ends.
+The pipeline calls each end's private core with ln(2/xi) directly, past
+the argument checks.
 
 The binomial tail and its two inversions check their arguments here and
 compute in ``snskit.binomial``, which they import at their first call:
@@ -101,7 +103,12 @@ def chernoff_expected_lower(observed: float, failure_prob: float) -> float:
     series -sqrt(2c) - c/3 for small c and the asymptote -1 - c above.
     """
     X = float(observed)
-    cap = _checked_cap(X, failure_prob, "observed count")
+    return _expected_lower(X, _checked_cap(X, failure_prob, "observed count"))
+
+
+def _expected_lower(X: float, cap: float) -> float:
+    # chernoff_expected_lower with cap = ln(2/xi), unchecked: the decoy and
+    # pairing stages pass counts and levels that are valid by construction.
     if X == 0.0:
         return 0.0
     c = cap / X
@@ -125,7 +132,11 @@ def chernoff_expected_upper(observed: float, failure_prob: float) -> float:
     A zero count gives ln(2/xi).
     """
     X = float(observed)
-    cap = _checked_cap(X, failure_prob, "observed count")
+    return _expected_upper(X, _checked_cap(X, failure_prob, "observed count"))
+
+
+def _expected_upper(X: float, cap: float) -> float:
+    # chernoff_expected_upper with cap = ln(2/xi), unchecked.
     if X == 0.0:
         return cap
     c = cap / X
@@ -153,7 +164,11 @@ def chernoff_observed_lower(expected: float, failure_prob: float) -> float:
     keeps them.
     """
     Y = float(expected)
-    cap = _checked_cap(Y, failure_prob, "expected value")
+    return _observed_lower(Y, _checked_cap(Y, failure_prob, "expected value"))
+
+
+def _observed_lower(Y: float, cap: float) -> float:
+    # chernoff_observed_lower with cap = ln(2/xi), unchecked.
     if Y == 0.0:
         return 0.0
     c = cap / Y
@@ -178,7 +193,11 @@ def chernoff_observed_upper(expected: float, failure_prob: float) -> float:
     L = ln(1 + x), above.  A zero expectation gives ln(2/xi).
     """
     Y = float(expected)
-    cap = _checked_cap(Y, failure_prob, "expected value")
+    return _observed_upper(Y, _checked_cap(Y, failure_prob, "expected value"))
+
+
+def _observed_upper(Y: float, cap: float) -> float:
+    # chernoff_observed_upper with cap = ln(2/xi), unchecked.
     if Y == 0.0:
         return cap
     c = cap / Y

@@ -30,15 +30,10 @@ from dataclasses import dataclass, field
 from .budget import SecurityBudget
 from .decoy import UntaggedBounds
 from .channel import ObservedStats
+from .stats import _observed_lower, _observed_upper, invert_tail_for_m, invert_tail_for_p
 # chernoff_observed_bounds stays a module attribute: the benchmark's tracer
 # (bench/workloads.py, trace_targets) wraps it by name.
-from .stats import (  # noqa: F401
-    chernoff_observed_bounds,
-    chernoff_observed_lower,
-    chernoff_observed_upper,
-    invert_tail_for_m,
-    invert_tail_for_p,
-)
+from .stats import chernoff_observed_bounds  # noqa: F401
 
 __all__ = [
     "ZigzagResult",
@@ -97,13 +92,13 @@ class ZigzagResult:
 def _phi_lower(expected: float, xi: float) -> float:
     if xi >= 1.0:  # fluctuation-free switch
         return expected
-    return chernoff_observed_lower(expected, xi)
+    return _observed_lower(expected, math.log(2.0 / xi))
 
 
 def _phi_upper(expected: float, xi: float) -> float:
     if xi >= 1.0:
         return expected
-    return chernoff_observed_upper(expected, xi)
+    return _observed_upper(expected, math.log(2.0 / xi))
 
 
 def _check_mode(mode: str, budget: SecurityBudget) -> None:

@@ -464,7 +464,7 @@ def test_x1_slice_series_is_summed_left_to_right(monkeypatch):
 def test_approx_evaluate_at_full_intensity_loads_no_scipy():
     # At 0 km intensities near 1 arrive with sqrt(x*y) up to 0.3; the I0
     # series covers that, and every amplitude stays within the slice series.
-    # Nothing that does not search loads numpy either: not an evaluation,
+    # Nor numpy, which no module of the package imports: not an evaluation,
     # not `snskit plob`, not a `snskit rate` with a fixed source.
     import subprocess
     import sys

@@ -2,7 +2,7 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
-from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -339,17 +339,31 @@ def _bits(calls: list) -> list:
 def _against_scipy(monkeypatch, problem: OptimizationProblem, start: list[float]):
     """Run the simplex and scipy's Nelder-Mead on one restart's objective.
 
-    Asserts that both evaluate the same points bit for bit and report the
-    same call count and status; returns the objective, the initial simplex,
-    the (point, value) calls and the status.
+    The two part only where a sort meets tied values: the simplex sends ties
+    to the lexicographically smaller vertex, scipy to numpy's argsort.  So
+    this asserts that both evaluate the same points bit for bit up to the
+    first sort that meets a tie, and, when no sort before the last call
+    does, that they report the same call count and status.  Returns the
+    objective, the initial simplex, the (point, value) calls, the status and
+    the number of calls compared.
     """
     import numpy as np
     from scipy.optimize import minimize
 
     objective, simplex = _restart_inputs(monkeypatch, problem, start)
+    tied_at: list[int] = []  # objective calls made before each sort that meets a tie
+    real_sort = optimizer._Simplex.sort
+
+    def sort(self):
+        if len(set(self.values)) < len(self.values):
+            tied_at.append(self.nfev)
+        real_sort(self)
+
     ours: list = []
     theirs: list = []
-    nfev, status = _straight(_recording(objective, ours), simplex, problem.max_evals)
+    with monkeypatch.context() as m:
+        m.setattr(optimizer._Simplex, "sort", sort)
+        nfev, status = _straight(_recording(objective, ours), simplex, problem.max_evals)
     res = minimize(
         _recording(objective, theirs), np.asarray(simplex[0]), method="Nelder-Mead",
         options={
@@ -359,20 +373,28 @@ def _against_scipy(monkeypatch, problem: OptimizationProblem, start: list[float]
             "initial_simplex": np.asarray(simplex),
         },
     )
-    assert _bits(ours) == _bits(theirs)
-    assert nfev == res.nfev == len(ours)
-    assert status == res.status
-    return objective, simplex, ours, status
+    compared = min(tied_at, default=len(ours))
+    assert _bits(ours[:compared]) == _bits(theirs[:compared])
+    if compared == len(ours):
+        assert nfev == res.nfev == len(ours) == len(theirs)
+        assert status == res.status
+    return objective, simplex, ours, status, compared
 
 
 # The restarts the simplex is checked on, each as (problem, restart index).
 _ORACLE_RESTARTS = {
     "symmetric": (lambda: _small_problem(restarts=1, max_evals=1000), 0),
-    # A 13-dim restart that meets infeasible corners during its descent.
+    # A 13-dim restart whose initial simplex holds 13 tied zero-rate
+    # vertices and which meets infeasible corners during its descent.
     "asymmetric": (lambda: OptimizationProblem(
         exp=table1_exp(250.0, L_A=175.0, L_B=75.0), mode="asymmetric",
         max_evals=120, seed=3,
     ), 6),
+    # The default start on 150/50 km arms: a 13-dim descent that meets an
+    # infeasible corner with no tie in any sort.
+    "asymmetric-untied": (lambda: OptimizationProblem(
+        exp=table1_exp(200.0, L_A=150.0, L_B=50.0), mode="asymmetric", max_evals=120,
+    ), 0),
     # The first restart of the cold seed-1 440 km method-A optimize: its
     # initial simplex holds tied zero-rate vertices beside positive ones,
     # and near its end an outside contraction ties the reflected value.
@@ -392,44 +414,34 @@ def _oracle_restart(name: str) -> tuple[OptimizationProblem, list[float]]:
 
 def test_simplex_matches_scipy_on_a_symmetric_restart(monkeypatch):
     problem, start = _oracle_restart("symmetric")
-    *_, calls, status = _against_scipy(monkeypatch, problem, start)
+    *_, calls, status, compared = _against_scipy(monkeypatch, problem, start)
+    assert compared == len(calls)  # no sort meets a tie
     assert status == 0 and 100 < len(calls) < problem.max_evals
 
 
 def test_simplex_matches_scipy_through_infeasible_asymmetric_corners(monkeypatch):
-    problem, start = _oracle_restart("asymmetric")
+    problem, start = _oracle_restart("asymmetric-untied")
     space = _Space(problem)
-    *_, calls, status = _against_scipy(monkeypatch, problem, start)
+    *_, calls, status, compared = _against_scipy(monkeypatch, problem, start)
     assert status == 1 and space.dim == 13
     infeasible = [i for i, (x, _) in enumerate(calls) if space.decode(x) is None]
     assert infeasible and min(infeasible) > space.dim  # met during the descent
     assert min(value for _, value in calls) < optimizer._NO_RATE
-
-
-def test_simplex_matches_scipy_on_tied_no_rate_vertices(monkeypatch):
-    import numpy as np
-
-    problem, start = _oracle_restart("tied")
-    objective, simplex, calls, status = _against_scipy(monkeypatch, problem, start)
-    assert status == 0
-    first = [value for _, value in calls[:len(simplex)]]
-    assert first.count(optimizer._NO_RATE) >= 2 and min(first) < optimizer._NO_RATE
-    # A stable sort orders those ties differently and takes another path.
-    monkeypatch.setattr(np, "argsort", partial(np.argsort, kind="stable"))
-    stable: list = []
-    _straight(_recording(objective, stable), simplex, problem.max_evals)
-    assert _bits(stable) != _bits(calls)
+    assert compared == len(calls)  # no sort meets a tie
 
 
 def test_simplex_matches_scipy_when_the_cap_cuts_the_initial_simplex(monkeypatch):
     problem, start = _oracle_restart("cap-in-initial-simplex")
-    *_, calls, status = _against_scipy(monkeypatch, problem, start)
+    *_, calls, status, compared = _against_scipy(monkeypatch, problem, start)
+    # The unevaluated vertices tie at inf, but only in the sort after the last call.
+    assert compared == len(calls)
     assert (len(calls), status) == (5, 1)
 
 
 def test_simplex_matches_scipy_when_the_cap_cuts_a_shrink(monkeypatch):
     problem, start = _oracle_restart("cap-in-shrink")
-    *_, calls, status = _against_scipy(monkeypatch, problem, start)
+    *_, calls, status, compared = _against_scipy(monkeypatch, problem, start)
+    assert compared == len(calls)  # no sort meets a tie
     assert (len(calls), status) == (50, 1)
     # The last four calls are shrink vertices v0 + (v - v0) / 2: v0 is the
     # best point so far and each v an earlier vertex, so 2q - v0 returns to
@@ -442,6 +454,51 @@ def test_simplex_matches_scipy_when_the_cap_cuts_a_shrink(monkeypatch):
             all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in zip(back, x))
             for x, _ in before
         )
+
+
+def test_tied_vertices_sort_in_lexicographic_order():
+    simplex = optimizer._Simplex(
+        [[1.0, 2.0], [0.5, 9.0], [1.0, -1.0], [0.0, 0.0], [1.0, -1.5]],
+        [7.0, 7.0, 3.0, 7.0, 7.0],
+    )
+    simplex.sort()
+    assert simplex.values == [3.0, 7.0, 7.0, 7.0, 7.0]
+    assert simplex.vertices == [[1.0, -1.0], [0.0, 0.0], [0.5, 9.0], [1.0, -1.5], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("name", ["tied", "asymmetric"])
+def test_permuting_tied_vertices_leaves_the_descent_unchanged(monkeypatch, name):
+    # Both initial simplices hold tied zero-rate vertices beside a positive one.
+    problem, start = _oracle_restart(name)
+    objective, vertices = _restart_inputs(monkeypatch, problem, start)
+    n = len(vertices)
+    first: list = []
+    _straight(_recording(objective, first), vertices, problem.max_evals)
+    values = [value for _, value in first[:n]]
+    tied = [i for i, value in enumerate(values) if values.count(value) > 1]
+    assert len(tied) >= 2 and min(values) < optimizer._NO_RATE
+    permuted = list(vertices)
+    for i, j in zip(tied, reversed(tied)):  # reverse the order of the tied vertices
+        permuted[i] = vertices[j]
+
+    def descent(vertices: list) -> list:
+        calls: list = []
+        _straight(_recording(objective, calls), vertices, problem.max_evals)
+        assert sorted(_bits(calls[:n])) == sorted(_bits(first[:n]))  # the same initial points
+        return calls[n:]
+
+    again = descent(permuted)
+    assert again and _bits(again) == _bits(first[n:])
+
+    # Sorted by value alone, the tied vertices keep their input order, and
+    # the permutation changes the descent.
+    def by_value(self):
+        order = sorted(range(len(self.values)), key=self.values.__getitem__)
+        self.vertices[:] = [self.vertices[i] for i in order]
+        self.values[:] = [self.values[i] for i in order]
+
+    monkeypatch.setattr(optimizer._Simplex, "sort", by_value)
+    assert _bits(descent(permuted)) != _bits(descent(vertices))
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_RESTARTS))
@@ -648,8 +705,8 @@ def test_asymmetric_scan_keeps_its_method_b_rates():
 
 
 def test_import_loads_no_scipy():
-    # Nor a process pool's modules: restarts run in the calling process.  Nor
-    # numpy: the simplex imports its argsort at the first sort.
+    # Nor numpy, nor a process pool's modules: restarts run in the calling
+    # process.
     roots = ("scipy", "numpy", "multiprocessing", "concurrent.futures")
     code = ("import sys, snskit; "
             f"print(sorted(m for m in sys.modules if m.startswith({roots!r})))")
@@ -659,10 +716,11 @@ def test_import_loads_no_scipy():
 
 
 # Modules a search must not load: the restart starts come from an in-package
-# PCG64, not numpy.random, which would bring hashlib and secrets with it, and
-# an approx evaluation needs neither scipy nor numpy.polynomial.
+# PCG64, not numpy.random, which would bring hashlib and secrets with it, the
+# simplex sorts in Python, and an approx evaluation needs neither scipy nor
+# numpy.
 _SEARCH_FREE_MODULES = (
-    "scipy", "scipy.optimize", "numpy.random", "numpy.polynomial", "hashlib", "secrets",
+    "numpy", "scipy", "scipy.optimize", "numpy.random", "numpy.polynomial", "hashlib", "secrets",
 )
 
 
@@ -690,6 +748,37 @@ def test_optimize_and_cli_scan_load_no_scipy_optimize(tmp_path):
                          timeout=120)
     assert out.stdout.strip() == "[]"
     assert csv.read_text().count("\n") == 2  # header and one row
+
+
+# Prepended to a fresh interpreter's code: a meta-path finder that refuses
+# every numpy and scipy module, as in an install without either library.
+_REFUSE_NUMPY_AND_SCIPY = (
+    "import sys\n"
+    "class Refuse:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] in ('numpy', 'scipy'):\n"
+    "            raise ImportError(f'{name} is refused')\n"
+    "sys.meta_path.insert(0, Refuse())\n"
+)
+
+
+def test_tables_and_an_exact_evaluation_run_without_numpy_or_scipy():
+    golden = Path(__file__).resolve().parent / "data" / "tables_seed1.txt"
+    code = _REFUSE_NUMPY_AND_SCIPY + (
+        "import math\n"
+        "from snskit import cli\n"
+        "from snskit.channel import SourceParams\n"
+        "from snskit.keyrate import evaluate\n"
+        "from snskit.tables import TABLE2_EXP\n"
+        "assert cli.main(['tables', '--seed', '1']) == 0\n"
+        f"src = SourceParams.symmetric(**{GOLDEN_SRC!r})\n"
+        "report = evaluate(TABLE2_EXP.at_distance(300.0), src, method='B', mode='exact')\n"
+        "assert 0.0 < report.R < math.inf and report.flags == (), report\n"
+        "assert not [m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')]\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         timeout=120)
+    assert out.stdout == golden.read_bytes()
 
 
 # Seeds for the PCG64 port: small ones, and ones of two to seven 32-bit words.
