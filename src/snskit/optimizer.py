@@ -22,10 +22,12 @@ the stop scale-free, with no tolerance on position.  The search runs in two
 phases.  Every restart first stops once the rates at its vertices agree to
 ``_COARSE_RTOL`` (1e-3) relative.  Then only the leading restart, the best
 one that converged with a positive rate, resumes from its saved simplex
-until its rates agree to ``_RTOL`` (1e-5).  No simplex move reads the
-tolerance, so the leader evaluates exactly the points one uninterrupted
-run to ``_RTOL`` would; the other restarts keep their coarse records
-(``status == 2``), which is where the evaluations are saved.
+until its rates agree to ``_RTOL`` (1e-5), or until it would shrink a
+simplex whose rates already agree to ``_COARSE_RTOL`` (``status == 3``).
+Neither the moves nor that shrink stop read the tolerance, so the leader
+evaluates exactly the points one uninterrupted run to ``_RTOL`` would; the
+other restarts keep their coarse records (``status == 2``), which is where
+the evaluations are saved.
 R = 0 and infeasible asymmetric corners share one value above every
 positive rate's.  So a restart whose whole initial simplex (dim + 1
 objective calls, infeasible corners included) reads no positive rate meets
@@ -141,7 +143,9 @@ class RestartRecord:
     status       0 converged (the rates at all vertices agree to 1e-5
                  relative; only the leader), 1 evaluation cap, 2 stopped
                  where its rates agree to 1e-3 relative and not refined
-                 (a restart other than the leader), or -1 on a plateau
+                 (a restart other than the leader), 3 stopped at a shrink
+                 (the leader's refinement met a failed contraction; see
+                 ``_nelder_mead``), or -1 on a plateau
     rate         best rate the restart evaluated (0.0 if none was positive)
     params       source of that rate, or None
     """
@@ -369,6 +373,15 @@ def _nelder_mead(objective, simplex: _Simplex, max_evals: int, fatol: float) -> 
     only the stop test before each step, so resuming a simplex stopped at a
     looser ``fatol`` evaluates exactly the points one run at the tighter one
     would.
+
+    One step departs from scipy: where a contraction fails while the values
+    already agree to ``_COARSE_RTOL``, the simplex stops (status 3) instead
+    of shrinking.  Nelder-Mead never shrinks on a strictly convex function
+    (Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 9, 112-147 (1998)),
+    and -ln R is convex near its maximum, so a shrink at that spread follows
+    the rounding of the integer counts, not the curvature.  A run to
+    ``_COARSE_RTOL`` stops before any such step, and the test reads only
+    the simplex, so a coarse stop and a resume still equal one run.
     """
     n = len(simplex.vertices) - 1
     sim, fsim = simplex.vertices, simplex.values
@@ -402,6 +415,8 @@ def _nelder_mead(objective, simplex: _Simplex, max_evals: int, fatol: float) -> 
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
+                elif fsim[-1] - fsim[0] <= _COARSE_RTOL:
+                    return 3  # a shrink this tight follows the rounding, not the slope
                 else:
                     v0 = sim[0]
                     for j in range(1, n + 1):
@@ -460,7 +475,8 @@ def _run_restart(problem: OptimizationProblem,
 
 def _refine(problem: OptimizationProblem, record: RestartRecord,
             simplex: _Simplex) -> RestartRecord:
-    """Resume a restart stopped at ``_COARSE_RTOL`` until it stops at ``_RTOL``."""
+    """Resume a restart stopped at ``_COARSE_RTOL`` until it stops at ``_RTOL``
+    or at a shrink."""
     objective = _Objective(problem, record.evaluations, record.rate, record.params)
     status = _nelder_mead(objective, simplex, problem.max_evals, _RTOL)
     return replace(

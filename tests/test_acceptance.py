@@ -128,6 +128,24 @@ def test_optimized_rates_hold_against_frozen_seed1_rates(table2, table3):
     )
 
 
+def test_optimized_rates_hold_against_frozen_seed1_rates_at_seeds_1_to_8(table2, table3):
+    # A search change can keep seed 1's rows and lose another seed's.
+    rows = {1: table2[0] + table3[0]}
+    for seed in range(2, 9):
+        rows[seed] = compute_table2(seed=seed) + compute_table3(seed=seed)
+    worst = (math.inf, "")
+    for seed, seed_rows in rows.items():
+        for row in seed_rows:
+            for method, rate in (("A", row.rate_a), ("B", row.rate_b)):
+                ratio = rate / FROZEN_SEED1_RATES[(row.L_total, method)]
+                worst = min(worst, (ratio, f"{method}@{row.L_total:.0f}km, seed {seed}"))
+    _report(
+        "optimizer quality (every table rate at seeds 1-8 >= 0.995 of its frozen seed-1 value)",
+        worst[0] >= 0.995,
+        f"lowest {worst[0]:.5f} at {worst[1]}",
+    )
+
+
 def test_criterion_5_method_b_uplift_n11():
     grid = [250.0, 300.0, 350.0, 400.0]
     prob = OptimizationProblem(exp=table1_exp(250.0, N=1e11), restarts=8, seed=1)

@@ -161,7 +161,7 @@ def test_optimize_records_running_best_per_restart(monkeypatch):
             assert rec.evaluations <= dim + 1
             assert rec.rate == 0.0 and rec.params is None
         else:
-            assert rec.status in (0, 1)
+            assert rec.status in (0, 1, 3)
             assert (rec.params, rec.rate) in mine
     assert first == len(probes) == out.evaluations
     assert out.rate == max(rec.rate for rec in out.restarts) > 0.0
@@ -174,7 +174,7 @@ def test_only_the_leading_restart_is_refined():
     refined = [i for i, (a, b) in enumerate(zip(coarse, out.restarts)) if a != b]
     assert len(refined) == 1
     lead, = refined
-    assert coarse[lead].status == 2 and out.restarts[lead].status == 0
+    assert coarse[lead].status == 2 and out.restarts[lead].status in (0, 3)
     assert out.restarts[lead].nfev > coarse[lead].nfev
     assert out.restarts[lead].evaluations > coarse[lead].evaluations
     # The leader is the best converged restart; every other one stays at
@@ -188,8 +188,9 @@ def test_only_the_leading_restart_is_refined():
 def test_seed1_table2_stays_within_its_evaluation_count(monkeypatch):
     # Pins the restart economy: the seed-1 Table II made 8,900 evaluations
     # when every restart ran to _RTOL, 6,114 with only the leader refined,
-    # and 4,323 since method B runs one restart from method A's optimum in
-    # place of its own 8-restart search.
+    # 4,323 once method B ran one restart from method A's optimum in place
+    # of its own 8-restart search, and 2,844 since the leader's refinement
+    # stops at its first shrink.
     from snskit.tables import compute_table2
 
     counts: list[int] = []
@@ -210,7 +211,7 @@ def test_seed1_table2_stays_within_its_evaluation_count(monkeypatch):
     monkeypatch.setattr(optimizer, "evaluate", counted)
     compute_table2(seed=1)
     assert len(counts) == 8  # two methods at four distances
-    assert sum(counts) == calls <= 4323
+    assert sum(counts) == calls <= 2844
 
 
 def test_seed1_table2_optimizes_method_a_then_method_b(monkeypatch):
@@ -244,7 +245,7 @@ def test_cold_method_b_at_440km_stops_every_restart_on_the_plateau():
 
 def test_cold_method_a_at_440km_keeps_its_rate():
     out = optimize(OptimizationProblem(exp=TABLE2_EXP.at_distance(440.0), method="A", seed=1))
-    assert out.rate == 2.5243461710357386e-08  # frozen from before the plateau stop
+    assert out.rate == 2.524187173491602e-08  # frozen since the shrink stop
     assert out.flags == ()
     assert not out.restarts[0].plateau
     assert sum(rec.plateau for rec in out.restarts) == 7
@@ -261,15 +262,20 @@ def test_plateau_stop_needs_a_call_past_the_initial_simplex():
 
 def test_relative_stop_cuts_the_tight_run_short(monkeypatch):
     # -ln R leaves every simplex move as it was, so the default stop only
-    # ends the same sequence of evaluations earlier than a tight one.
-    problem = _small_problem(restarts=1, max_evals=1000)
-    default, probes = _recorded_optimize(monkeypatch, problem)
+    # ends the same sequence of evaluations earlier than a tight one.  This
+    # restart reaches _RTOL before any contraction fails at a spread within
+    # _COARSE_RTOL, where both runs would stop at the same shrink.
+    problem, start = _oracle_restart("reaches-rtol")
+    objective, vertices = _restart_inputs(monkeypatch, problem, start)
+    default: list = []
+    _, status = _straight(_recording(objective, default), vertices, problem.max_evals)
     monkeypatch.setattr(optimizer, "_RTOL", 1e-12)
-    tight, tight_probes = _recorded_optimize(monkeypatch, problem)
-    assert default.restarts[0].status == 0
-    assert len(probes) < len(tight_probes)
-    assert tight_probes[:len(probes)] == probes
-    assert default.rate == max(r for _, r in probes) > 0.0
+    tight: list = []
+    _straight(_recording(objective, tight), vertices, problem.max_evals)
+    assert status == 0
+    assert len(default) < len(tight)
+    assert _bits(tight[:len(default)]) == _bits(default)
+    assert objective.rate > 0.0
 
 
 def test_objective_ranks_every_positive_rate_above_zero_and_infeasible(monkeypatch):
@@ -316,11 +322,11 @@ def _restart_inputs(monkeypatch, problem: OptimizationProblem, start: list[float
     return objective, vertices
 
 
-def _straight(objective, vertices: list, max_evals: int) -> tuple[int, int]:
-    """One uninterrupted simplex run to `_RTOL`: (objective calls, status)."""
+def _straight(objective, vertices: list, max_evals: int):
+    """One uninterrupted simplex run to `_RTOL`: (final simplex, status)."""
     simplex = optimizer._initial_simplex(objective, vertices, max_evals)
     status = optimizer._nelder_mead(objective, simplex, max_evals, optimizer._RTOL)
-    return simplex.nfev, status
+    return simplex, status
 
 
 def _recording(objective, calls: list):
@@ -336,21 +342,22 @@ def _bits(calls: list) -> list:
     return [[v.hex() for v in x] for x, _ in calls]
 
 
-def _against_scipy(monkeypatch, problem: OptimizationProblem, start: list[float]):
-    """Run the simplex and scipy's Nelder-Mead on one restart's objective.
+def _against_scipy(monkeypatch, objective, vertices: list, max_evals: int):
+    """Run the simplex and scipy's Nelder-Mead on one objective from one
+    initial simplex.
 
     The two part only where a sort meets tied values: the simplex sends ties
     to the lexicographically smaller vertex, scipy to numpy's argsort.  So
     this asserts that both evaluate the same points bit for bit up to the
-    first sort that meets a tie, and, when no sort before the last call
-    does, that they report the same call count and status.  Returns the
-    objective, the initial simplex, the (point, value) calls, the status and
-    the number of calls compared.
+    first sort that meets a tie.  When no sort before the last call does, it
+    also asserts that they report the same call count and status, or, where
+    the simplex stopped at a shrink (status 3), that scipy's next calls are
+    that shrink.  Returns the (point, value) calls, the status and the
+    number of calls compared.
     """
     import numpy as np
     from scipy.optimize import minimize
 
-    objective, simplex = _restart_inputs(monkeypatch, problem, start)
     tied_at: list[int] = []  # objective calls made before each sort that meets a tie
     real_sort = optimizer._Simplex.sort
 
@@ -363,27 +370,37 @@ def _against_scipy(monkeypatch, problem: OptimizationProblem, start: list[float]
     theirs: list = []
     with monkeypatch.context() as m:
         m.setattr(optimizer._Simplex, "sort", sort)
-        nfev, status = _straight(_recording(objective, ours), simplex, problem.max_evals)
+        simplex, status = _straight(_recording(objective, ours), vertices, max_evals)
     res = minimize(
-        _recording(objective, theirs), np.asarray(simplex[0]), method="Nelder-Mead",
+        _recording(objective, theirs), np.asarray(vertices[0]), method="Nelder-Mead",
         options={
-            "maxfev": problem.max_evals,
+            "maxfev": max_evals,
             "xatol": math.inf,
             "fatol": optimizer._RTOL,
-            "initial_simplex": np.asarray(simplex),
+            "initial_simplex": np.asarray(vertices),
         },
     )
     compared = min(tied_at, default=len(ours))
     assert _bits(ours[:compared]) == _bits(theirs[:compared])
-    if compared == len(ours):
-        assert nfev == res.nfev == len(ours) == len(theirs)
+    if compared == len(ours) and status == 3:
+        # scipy shrinks the simplex where ours stopped: its next n calls are
+        # the vertices v0 + (v - v0) / 2.
+        v0, *rest = simplex.vertices
+        shrunk = [[a + 0.5 * (b - a) for a, b in zip(v0, v)] for v in rest]
+        assert _bits(theirs[len(ours):len(ours) + len(rest)]) == _bits((x, None) for x in shrunk)
+    elif compared == len(ours):
+        assert simplex.nfev == res.nfev == len(ours) == len(theirs)
         assert status == res.status
-    return objective, simplex, ours, status, compared
+    return ours, status, compared
 
 
 # The restarts the simplex is checked on, each as (problem, restart index).
 _ORACLE_RESTARTS = {
+    # Stops at its first failed contraction within _COARSE_RTOL, after 46 calls.
     "symmetric": (lambda: _small_problem(restarts=1, max_evals=1000), 0),
+    # Reaches _RTOL before any contraction fails within _COARSE_RTOL; each
+    # of its shrinks is taken at a wider spread.
+    "reaches-rtol": (lambda: _small_problem(method="B", seed=3, restarts=5, max_evals=1000), 4),
     # A 13-dim restart whose initial simplex holds 13 tied zero-rate
     # vertices and which meets infeasible corners during its descent.
     "asymmetric": (lambda: OptimizationProblem(
@@ -402,7 +419,8 @@ _ORACLE_RESTARTS = {
         exp=TABLE2_EXP.at_distance(440.0), method="A", seed=1,
     ), 0),
     "cap-in-initial-simplex": (lambda: _small_problem(max_evals=5), 0),
-    "cap-in-shrink": (lambda: _small_problem(max_evals=50), 0),
+    # Its first shrink starts after call 239, at a spread of 1.7e-3.
+    "cap-in-shrink": (lambda: _small_problem(seed=36, max_evals=243), 1),
 }
 
 
@@ -412,17 +430,23 @@ def _oracle_restart(name: str) -> tuple[OptimizationProblem, list[float]]:
     return problem, optimizer._starts(problem)[index]
 
 
+def _oracle_against_scipy(monkeypatch, name: str):
+    """`_against_scipy` on one oracle restart: its problem, calls, status and
+    the number of calls compared."""
+    problem, start = _oracle_restart(name)
+    objective, vertices = _restart_inputs(monkeypatch, problem, start)
+    return problem, *_against_scipy(monkeypatch, objective, vertices, problem.max_evals)
+
+
 def test_simplex_matches_scipy_on_a_symmetric_restart(monkeypatch):
-    problem, start = _oracle_restart("symmetric")
-    *_, calls, status, compared = _against_scipy(monkeypatch, problem, start)
+    _, calls, status, compared = _oracle_against_scipy(monkeypatch, "symmetric")
     assert compared == len(calls)  # no sort meets a tie
-    assert status == 0 and 100 < len(calls) < problem.max_evals
+    assert (len(calls), status) == (46, 3)
 
 
 def test_simplex_matches_scipy_through_infeasible_asymmetric_corners(monkeypatch):
-    problem, start = _oracle_restart("asymmetric-untied")
+    problem, calls, status, compared = _oracle_against_scipy(monkeypatch, "asymmetric-untied")
     space = _Space(problem)
-    *_, calls, status, compared = _against_scipy(monkeypatch, problem, start)
     assert status == 1 and space.dim == 13
     infeasible = [i for i, (x, _) in enumerate(calls) if space.decode(x) is None]
     assert infeasible and min(infeasible) > space.dim  # met during the descent
@@ -431,18 +455,16 @@ def test_simplex_matches_scipy_through_infeasible_asymmetric_corners(monkeypatch
 
 
 def test_simplex_matches_scipy_when_the_cap_cuts_the_initial_simplex(monkeypatch):
-    problem, start = _oracle_restart("cap-in-initial-simplex")
-    *_, calls, status, compared = _against_scipy(monkeypatch, problem, start)
+    _, calls, status, compared = _oracle_against_scipy(monkeypatch, "cap-in-initial-simplex")
     # The unevaluated vertices tie at inf, but only in the sort after the last call.
     assert compared == len(calls)
     assert (len(calls), status) == (5, 1)
 
 
 def test_simplex_matches_scipy_when_the_cap_cuts_a_shrink(monkeypatch):
-    problem, start = _oracle_restart("cap-in-shrink")
-    *_, calls, status, compared = _against_scipy(monkeypatch, problem, start)
+    _, calls, status, compared = _oracle_against_scipy(monkeypatch, "cap-in-shrink")
     assert compared == len(calls)  # no sort meets a tie
-    assert (len(calls), status) == (50, 1)
+    assert (len(calls), status) == (243, 1)
     # The last four calls are shrink vertices v0 + (v - v0) / 2: v0 is the
     # best point so far and each v an earlier vertex, so 2q - v0 returns to
     # an earlier point.
@@ -454,6 +476,57 @@ def test_simplex_matches_scipy_when_the_cap_cuts_a_shrink(monkeypatch):
             all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in zip(back, x))
             for x, _ in before
         )
+
+
+# A strictly convex quadratic with its minimum 1 at (0.1, -0.2, 0.3), and
+# an initial simplex around the origin.
+def _quadratic(x) -> float:
+    weights, centre = (100.0, 200.0, 300.0), (0.1, -0.2, 0.3)
+    return 1.0 + sum(w * (a - c) ** 2 for w, a, c in zip(weights, x, centre))
+
+
+_QUADRATIC_SIMPLEX = [[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]]
+
+
+def test_simplex_runs_a_strictly_convex_quadratic_to_rtol_like_scipy(monkeypatch):
+    # Nelder-Mead never shrinks on a strictly convex function, so the shrink
+    # stop never fires, and the run ends at _RTOL call for call with scipy's.
+    calls, status, compared = _against_scipy(monkeypatch, _quadratic, _QUADRATIC_SIMPLEX, 1000)
+    assert compared == len(calls) > 50 and status == 0
+
+
+def test_rounded_quadratic_stops_at_its_first_failed_contraction_within_coarse_rtol(monkeypatch):
+    # Rounded to 1e-4 steps, the quadratic's values stop following its
+    # curvature, and a contraction fails.
+    def rounded(x):
+        return round(_quadratic(x) / 1e-4) * 1e-4
+
+    ours: list = []
+    simplex, status = _straight(_recording(rounded, ours), _QUADRATIC_SIMPLEX, 1000)
+    assert status == 3
+    assert optimizer._RTOL < simplex.values[-1] - simplex.values[0] <= optimizer._COARSE_RTOL
+
+    # With the stop switched off the simplex makes the same calls, then
+    # shrinks.  A step of n + 2 calls is a shrink (a reflection, a failed
+    # contraction and n vertices); the first one at a spread within
+    # _COARSE_RTOL is where the stop fired.
+    at_sort: list = []  # (calls made, spread) after each sort
+    real_sort = optimizer._Simplex.sort
+
+    def sort(self):
+        real_sort(self)
+        at_sort.append((self.nfev, self.values[-1] - self.values[0]))
+
+    coarse = optimizer._COARSE_RTOL
+    monkeypatch.setattr(optimizer._Simplex, "sort", sort)
+    monkeypatch.setattr(optimizer, "_COARSE_RTOL", -math.inf)
+    free: list = []
+    _straight(_recording(rounded, free), _QUADRATIC_SIMPLEX, 1000)
+    n = len(_QUADRATIC_SIMPLEX) - 1
+    shrinks = [(a, spread) for (a, spread), (b, _) in zip(at_sort, at_sort[1:]) if b - a == n + 2]
+    first = next(a for a, spread in shrinks if spread <= coarse)
+    assert len(ours) == first + 2
+    assert _bits(free[:len(ours)]) == _bits(ours)
 
 
 def test_tied_vertices_sort_in_lexicographic_order():
@@ -503,13 +576,14 @@ def test_permuting_tied_vertices_leaves_the_descent_unchanged(monkeypatch, name)
 
 @pytest.mark.parametrize("name", list(_ORACLE_RESTARTS))
 def test_coarse_stop_and_resume_equal_one_straight_run(monkeypatch, name):
-    # No simplex move reads the tolerance, so a restart stopped at
-    # _COARSE_RTOL and resumed to _RTOL calls the objective exactly where
-    # one run to _RTOL does.
+    # Neither a simplex move nor the shrink stop reads the tolerance, so a
+    # restart stopped at _COARSE_RTOL and resumed to _RTOL calls the
+    # objective exactly where one run to _RTOL does.
     problem, start = _oracle_restart(name)
     objective, vertices = _restart_inputs(monkeypatch, problem, start)
     straight: list = []
-    nfev, status = _straight(_recording(objective, straight), vertices, problem.max_evals)
+    simplex, status = _straight(_recording(objective, straight), vertices, problem.max_evals)
+    nfev = simplex.nfev
 
     calls: list = []
 
@@ -519,7 +593,7 @@ def test_coarse_stop_and_resume_equal_one_straight_run(monkeypatch, name):
 
     monkeypatch.setattr(optimizer, "_Objective", Recording)
     record, simplex = optimizer._run_restart(problem, start)
-    if status == 0:  # the straight run went on past the coarse stop
+    if status in (0, 3):  # the straight run went on past the coarse stop
         assert record.status == 2 and record.nfev < nfev
     if record.status == 2:
         record = optimizer._refine(problem, record, simplex)
