@@ -167,16 +167,18 @@ class RestartRecord:
 @dataclass(frozen=True)
 class OptimizeResult:
     """The best evaluation of one ``optimize`` over all its restarts (params
-    None and rate 0.0 when none was positive), and one record per restart."""
+    None and rate 0.0 when none was positive), one record per restart, and
+    every other search run to produce it (see ``_retry``), oldest first."""
 
     params: SourceParams | None
     rate: float
     restarts: tuple[RestartRecord, ...]
+    others: tuple[OptimizeResult, ...] = ()
 
     @property
     def evaluations(self) -> int:
-        """Key-rate evaluations made over all restarts."""
-        return sum(rec.evaluations for rec in self.restarts)
+        """Key-rate evaluations made over all restarts of it and its ``others``."""
+        return sum(rec.evaluations for out in (self, *self.others) for rec in out.restarts)
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -431,11 +433,10 @@ def _nelder_mead(objective, simplex: _Simplex, max_evals: int, fatol: float) -> 
 class _Objective:
     """-ln R at a search vector, keeping the count and the best of its evaluations."""
 
-    def __init__(self, problem: OptimizationProblem, evaluations: int = 0,
-                 rate: float = 0.0, params: SourceParams | None = None):
+    def __init__(self, problem: OptimizationProblem):
         self.problem = problem
         self.space = _Space(problem)
-        self.evaluations, self.rate, self.params = evaluations, rate, params
+        self.evaluations, self.rate, self.params = 0, 0.0, None
 
     def __call__(self, t: "list[float]") -> float:
         src = self.space.decode(t)
@@ -451,10 +452,15 @@ class _Objective:
             self.params, self.rate = src, rate
         return -math.log(rate) if rate > 0.0 else _NO_RATE
 
+    def record(self, start, simplex: _Simplex, status: int) -> RestartRecord:
+        """The record of the restart from ``start`` whose simplex stopped with ``status``."""
+        return RestartRecord(tuple(start), simplex.nfev, self.evaluations, status,
+                             self.rate, self.params)
+
 
 def _run_restart(problem: OptimizationProblem,
-                 start: "list[float]") -> tuple[RestartRecord, _Simplex]:
-    """One simplex descent on -ln R to ``_COARSE_RTOL``: its record and simplex."""
+                 start: "list[float]") -> tuple[RestartRecord, _Simplex, _Objective]:
+    """One simplex descent on -ln R to ``_COARSE_RTOL``: record, simplex, objective."""
     objective = _Objective(problem)
     vertices = [list(start)]
     for k in range(len(start)):
@@ -466,23 +472,13 @@ def _run_restart(problem: OptimizationProblem,
     if status == 0:
         # Converged; with no positive rate the flat initial simplex met the stop.
         status = -1 if objective.params is None else 2
-    record = RestartRecord(
-        start=tuple(start), nfev=simplex.nfev, evaluations=objective.evaluations,
-        status=status, rate=objective.rate, params=objective.params,
-    )
-    return record, simplex
+    return objective.record(start, simplex, status), simplex, objective
 
 
-def _refine(problem: OptimizationProblem, record: RestartRecord,
-            simplex: _Simplex) -> RestartRecord:
-    """Resume a restart stopped at ``_COARSE_RTOL`` until it stops at ``_RTOL``
-    or at a shrink."""
-    objective = _Objective(problem, record.evaluations, record.rate, record.params)
-    status = _nelder_mead(objective, simplex, problem.max_evals, _RTOL)
-    return replace(
-        record, nfev=simplex.nfev, evaluations=objective.evaluations,
-        status=status, rate=objective.rate, params=objective.params,
-    )
+def _refine(record: RestartRecord, simplex: _Simplex, objective: _Objective) -> RestartRecord:
+    """Resume a coarse-stopped restart until it stops at ``_RTOL`` or at a shrink."""
+    status = _nelder_mead(objective, simplex, objective.problem.max_evals, _RTOL)
+    return objective.record(record.start, simplex, status)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -585,32 +581,43 @@ def optimize(problem: OptimizationProblem) -> OptimizeResult:
     A symmetric search rejects an ``x0`` whose two sides differ.
     """
     coarse = [_run_restart(problem, start) for start in _starts(problem)]
-    records = [rec for rec, _ in coarse]
+    records = [rec for rec, _, _ in coarse]
     # Only the best restart that converged with a source goes on to _RTOL.
     converged = [i for i, rec in enumerate(records) if rec.status == 2]
     if converged:
         lead = converged[_best([records[i] for i in converged])]
-        records[lead] = _refine(problem, *coarse[lead])
+        records[lead] = _refine(*coarse[lead])
     best = _best(records)
     if best is None:
         return OptimizeResult(None, 0.0, tuple(records))
     return OptimizeResult(records[best].params, records[best].rate, tuple(records))
 
 
-def retry_from_other(problem: OptimizationProblem, result: OptimizeResult,
-                     other: OptimizeResult | None = None) -> OptimizeResult:
+def _retry(result: OptimizeResult, problem: OptimizationProblem,
+           via: OptimizationProblem | None = None) -> OptimizeResult:
+    """``result`` if it found a source, else ``optimize(problem)``; with ``via``,
+    started from the optimum of ``optimize(via)``, or ``result`` if that has
+    none.  The one code that retries a result with no source; fills ``others``."""
+    if result.params is not None:
+        return result
+    spent = (*result.others, replace(result, others=()))
+    if via is not None:
+        other = optimize(via)
+        if other.params is None:
+            return replace(result, others=(*result.others, other))
+        spent, problem = (*spent, other), replace(problem, x0=other.params)
+    return replace(optimize(problem), others=spent)
+
+
+def retry_from_other(problem: OptimizationProblem, result: OptimizeResult) -> OptimizeResult:
     """``result`` of ``optimize(problem)`` if it found a source, else a new
-    ``optimize(problem)`` from the other method's optimum (``other``, or a
-    fresh search of the other method), or ``result`` when that has none.
+    ``optimize(problem)`` from the optimum of a fresh search of the other
+    method, or ``result`` when that has none; ``others`` holds the rest.
 
     Both estimators share every count, so one's optimum starts the other in
     its positive-rate basin where its own starts plateau at R = 0.
     """
-    if result.params is not None:
-        return result
-    if other is None:
-        other = optimize(replace(problem, method="B" if problem.method == "A" else "A"))
-    return result if other.params is None else optimize(replace(problem, x0=other.params))
+    return _retry(result, problem, replace(problem, method="B" if problem.method == "A" else "A"))
 
 
 def scan(problem: OptimizationProblem, distances: "list[float]") -> list[ScanPoint]:
@@ -632,10 +639,10 @@ def scan(problem: OptimizationProblem, distances: "list[float]") -> list[ScanPoi
     warm, points = problem.x0, []
     for L, exp_L, a in zip(distances, exps, chain):
         at_L = replace(problem, method="B", exp=exp_L)
-        b = a if a.params is None else optimize(replace(at_L, x0=a.params, restarts=1))
-        if b.params is None:
-            b = optimize(replace(at_L, x0=warm))
+        own = replace(at_L, x0=warm)
+        b = optimize(own) if a.params is None else _retry(
+            optimize(replace(at_L, x0=a.params, restarts=1)), own)
         warm = b.params or warm
-        a = retry_from_other(replace(at_L, method="A"), a, b)
+        a = a if b.params is None else _retry(a, replace(at_L, method="A", x0=b.params))
         points.append(ScanPoint(L, a, b, *plob_bounds(exp_L.L_total, exp_L.alpha_f, exp_L.eta_d)))
     return points

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from snskit import cli
+from snskit import cli, optimizer
 from snskit.cli import main
 from snskit.config import (
     _SECTIONS,
@@ -402,17 +402,42 @@ def test_cli_optimize_takes_a_seed_of_several_words(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("evaluations")
 
 
+# Table II hardware at 440 km, optimizer seed 1.
+TABLE2_440KM_CONFIG = (
+    "exp.p_d = 1.0e-8\nexp.e_d = 0.03\nexp.eta_d = 0.30\nexp.f = 1.1\n"
+    "exp.alpha_f = 0.2\nexp.N = 1.0e12\nexp.L_A = 220\nexp.L_B = 220\nopt.seed = 1\n"
+)
+
+
 @pytest.mark.parametrize("command", ["optimize", "rate"])
 def test_cli_method_b_at_440km_retries_from_method_a_optimum(tmp_path, capsys, command):
     # Cold, method B plateaus at R = 0 on Table II hardware at 440 km; like
     # a scan, the command re-optimizes from method A's optimum there.
-    path = _write(tmp_path, (
-        "exp.p_d = 1.0e-8\nexp.e_d = 0.03\nexp.eta_d = 0.30\nexp.f = 1.1\n"
-        "exp.alpha_f = 0.2\nexp.N = 1.0e12\nexp.L_A = 220\nexp.L_B = 220\nopt.seed = 1\n"
-    ))
+    path = _write(tmp_path, TABLE2_440KM_CONFIG)
     assert main([command, "--config", path, "--method", "B"]) == 0
     rate = re.search(r"^R +(\S+)$", capsys.readouterr().out, re.MULTILINE).group(1)
     assert float(rate) >= 0.95 * 3.26e-8  # published Table II rate
+
+
+@pytest.mark.parametrize("command", ["optimize", "rate"])
+def test_cli_method_b_at_440km_counts_every_evaluation_of_its_retry(
+        tmp_path, capsys, monkeypatch, command):
+    # The cold method-B search (64), method A's search (298) and method B's
+    # search from A's optimum (245) all count toward the printed total.
+    calls = 0
+    real_evaluate = optimizer.evaluate
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "evaluate", counted)
+    path = _write(tmp_path, TABLE2_440KM_CONFIG)
+    assert main([command, "--config", path, "--method", "B"]) == 0
+    assert calls == 607
+    if command == "optimize":
+        assert capsys.readouterr().out.startswith(f"evaluations  {calls}\n")
 
 
 def test_cli_scan_unwritable_path_exit_code(tmp_path):

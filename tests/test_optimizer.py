@@ -129,9 +129,9 @@ def test_optimize_records_running_best_per_restart(monkeypatch):
         current[:] = [tuple(start)]
         return real_run(problem, start)
 
-    def refine(problem, record, simplex):
+    def refine(record, simplex, objective):
         current[:] = [record.start]
-        return real_refine(problem, record, simplex)
+        return real_refine(record, simplex, objective)
 
     def recording(*args, **kwargs):
         report = evaluate(*args, **kwargs)
@@ -592,11 +592,11 @@ def test_coarse_stop_and_resume_equal_one_straight_run(monkeypatch, name):
             return _recording(super().__call__, calls)(t)
 
     monkeypatch.setattr(optimizer, "_Objective", Recording)
-    record, simplex = optimizer._run_restart(problem, start)
+    record, simplex, objective = optimizer._run_restart(problem, start)
     if status in (0, 3):  # the straight run went on past the coarse stop
         assert record.status == 2 and record.nfev < nfev
     if record.status == 2:
-        record = optimizer._refine(problem, record, simplex)
+        record = optimizer._refine(record, simplex, objective)
     assert _bits(calls) == _bits(straight)
     assert (record.nfev, record.status) == (nfev, status) == (len(calls), status)
 
@@ -679,6 +679,19 @@ def _zero_result() -> optimizer.OptimizeResult:
     return optimizer.OptimizeResult(None, 0.0, ())
 
 
+def _count_evaluations_per_distance(monkeypatch) -> dict:
+    """Count optimizer evaluate calls by total distance."""
+    calls: dict = {}
+    real_evaluate = optimizer.evaluate
+
+    def counted(exp, *args, **kwargs):
+        calls[exp.L_total] = calls.get(exp.L_total, 0) + 1
+        return real_evaluate(exp, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "evaluate", counted)
+    return calls
+
+
 def test_scan_falls_back_to_method_b_search_when_the_polish_finds_no_source(monkeypatch):
     real_optimize = optimizer.optimize
 
@@ -687,12 +700,16 @@ def test_scan_falls_back_to_method_b_search_when_the_polish_finds_no_source(monk
             return _zero_result()
         return real_optimize(problem)
 
+    calls = _count_evaluations_per_distance(monkeypatch)
     monkeypatch.setattr(optimizer, "optimize", polish_finds_nothing)
     problem = _small_problem()
     first, second = scan(problem, [300.0, 320.0])
+    for pt in (first, second):
+        assert pt.a.evaluations + pt.b.evaluations == calls[pt.L_total]
+        assert pt.b.others == (_zero_result(),)  # the failed polish
     # B's own search: all restarts, warm-started from B's previous optimum.
-    assert first.b == real_optimize(replace(problem, method="B"))
-    assert second.b == real_optimize(
+    assert replace(first.b, others=()) == real_optimize(replace(problem, method="B"))
+    assert replace(second.b, others=()) == real_optimize(
         replace(problem, method="B", exp=problem.exp.at_distance(320.0), x0=first.b.params)
     )
     assert first.b.flags == second.b.flags == ()
@@ -707,14 +724,54 @@ def test_scan_runs_method_b_search_where_method_a_finds_no_source(monkeypatch):
         calls.append((problem.method, problem.restarts, problem.x0))
         return _zero_result() if problem.method == "A" else real_optimize(problem)
 
+    evaluations = _count_evaluations_per_distance(monkeypatch)
     monkeypatch.setattr(optimizer, "optimize", a_finds_nothing)
     problem = _small_problem()
     pt, = scan(problem, [300.0])
+    assert pt.a.evaluations + pt.b.evaluations == evaluations[300.0]
     assert pt.b == real_optimize(replace(problem, method="B"))
     assert len(pt.b.restarts) == problem.restarts
     # No polish of A's missing optimum; then A is retried from B's optimum.
     assert calls == [("A", 2, problem.x0), ("B", 2, problem.x0), ("A", 2, pt.b.params)]
     assert pt.a.flags == ("zero-rate-box",)
+    # B is the point's own b, not one of A's others; the chain's A is.
+    assert pt.a.others == (_zero_result(),)
+
+
+def _spent(evaluations: int, params=None) -> optimizer.OptimizeResult:
+    """A search result that made ``evaluations`` evaluations in one restart."""
+    record = optimizer.RestartRecord((0.0,), evaluations, evaluations, 2, 0.0, params)
+    return optimizer.OptimizeResult(params, 0.0, (record,))
+
+
+@pytest.mark.parametrize("other_finds", [False, True])
+def test_retry_from_other_counts_every_search_it_ran(monkeypatch, other_finds):
+    src = SourceParams.symmetric(**GOLDEN_SRC)
+    searched = []
+
+    def fake_optimize(problem):
+        searched.append((problem.method, problem.x0))
+        if problem.method == "A":
+            return _spent(20, src if other_finds else None)
+        return _spent(300, src)
+
+    monkeypatch.setattr(optimizer, "optimize", fake_optimize)
+    problem = _small_problem(method="B", x0=None)
+    cold = _spent(7)
+    out = optimizer.retry_from_other(problem, cold)
+    if other_finds:
+        # Method B again, from method A's optimum; both earlier searches in others.
+        assert searched == [("A", None), ("B", src)]
+        assert out.others == (cold, _spent(20, src))
+        assert out.evaluations == 7 + 20 + 300
+        # A result with a source is returned as it is, with no search.
+        assert optimizer.retry_from_other(problem, out) is out and len(searched) == 2
+    else:
+        # The caller's own result, with method A's fruitless search in others.
+        assert searched == [("A", None)]
+        assert replace(out, others=()) == cold
+        assert out.others == (_spent(20),)
+        assert out.evaluations == 7 + 20
 
 
 def test_scan_ignores_problem_method():
